@@ -71,7 +71,8 @@ fn bench_response_matrix(c: &mut Criterion) {
     let mut group = c.benchmark_group("algorithm1_response_matrix");
     group.sample_size(20);
     for &cdom in &[64usize, 256, 1024] {
-        // Consistent product-form inputs (the post-Phase-2 situation).
+        // Consistent product-form inputs: Algorithm 1 converges within a
+        // few sweeps, so this times the setup and the first sweeps.
         let g1 = 16.min(cdom);
         let g2 = 4;
         let f1: Vec<f64> = {
@@ -90,9 +91,20 @@ fn bench_response_matrix(c: &mut Criterion) {
                 f2[a * g2 + bcol] = blk(a) * blk(bcol);
             }
         }
-        let gjk = Grid2d::from_freqs((0, 1), g2, cdom, f2).unwrap();
-        group.bench_with_input(BenchmarkId::new("c", cdom), &cdom, |b, _| {
-            b.iter(|| black_box(build_response_matrix(&gj, &gk, &gjk, 1e-7, 100)))
+        let consistent = Grid2d::from_freqs((0, 1), g2, cdom, f2.clone()).unwrap();
+        group.bench_with_input(BenchmarkId::new("consistent_c", cdom), &cdom, |b, _| {
+            b.iter(|| black_box(build_response_matrix(&gj, &gk, &consistent, 1e-7, 100)))
+        });
+        // The same grids with the 2-D perturbation of the unit test
+        // `inconsistent_grids_cycle_boundedly`: consistent only up to a
+        // residual, like real post-processed grids, so every run hits the
+        // 100-sweep cap. This is the cost a publish actually pays.
+        for (i, v) in f2.iter_mut().enumerate() {
+            *v += 0.004 * ((i * 7 % 5) as f64 - 2.0);
+        }
+        let capped = Grid2d::from_freqs((0, 1), g2, cdom, f2).unwrap();
+        group.bench_with_input(BenchmarkId::new("cap_bound_c", cdom), &cdom, |b, _| {
+            b.iter(|| black_box(build_response_matrix(&gj, &gk, &capped, 1e-7, 100)))
         });
     }
     group.finish();

@@ -80,8 +80,11 @@ pub struct MechanismConfig {
     /// Convergence threshold of Algorithm 1 (response matrix); the paper
     /// uses any value below `1/n`.
     pub rm_threshold: f64,
-    /// Sweep cap for Algorithm 1 (relevant when post-processing is off and
-    /// inputs are inconsistent; the paper's Appendix A.1 uses 100).
+    /// Sweep cap for Algorithm 1 (the paper's Appendix A.1 uses 100). It
+    /// binds on real collections whether or not post-processing is on:
+    /// Phase-2 output is consistent only up to its own residual, so the
+    /// per-sweep change settles well above `rm_threshold` and every pair
+    /// runs all `rm_max_iters` sweeps.
     pub rm_max_iters: usize,
     /// Convergence threshold of Algorithm 2 (λ-D estimation).
     pub est_threshold: f64,

@@ -19,6 +19,17 @@
 //! first unlucky query. Snapshot caps (`crate::snapshot`) bound the total
 //! at the same ceiling the lazy cache eventually reached anyway under
 //! mixed workloads, which touch every pair.
+//!
+//! That cost is `(d choose 2) · rm_max_iters` sweeps over `3c²` entries:
+//! Phase-2 output is consistent only up to its own residual, so real pairs
+//! run every one of the `rm_max_iters` sweeps rather than converging. It is
+//! paid once per publish by the lane-interleaved kernel
+//! (`privmdr_grid::response_matrix`), with the pairs fanned out over up to
+//! `available_parallelism` threads, two pairs or more per thread. The
+//! matrices are allocated on the calling thread and only filled by the
+//! workers, so the fan-out adds no per-thread malloc arenas to the
+//! process's resident memory. The result is bit-identical to building the
+//! pairs one after another.
 
 use crate::config::MechanismConfig;
 use crate::pair_model::{PairAnswerer, Rect2d, SplitModel};
@@ -27,9 +38,10 @@ use privmdr_data::Dataset;
 use privmdr_grid::consistency::post_process;
 use privmdr_grid::guideline::{choose_granularities, default_sigma, Granularities};
 use privmdr_grid::pairs::{pair_index, pair_list};
-use privmdr_grid::response_matrix::{build_response_matrix, ResponseMatrix};
+use privmdr_grid::response_matrix::ResponseMatrix;
 use privmdr_grid::{Grid1d, Grid2d, PrefixSum2d};
 use privmdr_oracles::partition::{partition_users, proportional_sizes};
+use privmdr_util::par::par_for_each_mut;
 use privmdr_util::rng::derive_rng;
 
 /// The HDG mechanism.
@@ -72,7 +84,8 @@ struct HdgAnswerer {
 }
 
 impl HdgAnswerer {
-    /// Runs Algorithm 1 for every pair and assembles the lock-free
+    /// Runs Algorithm 1 for every pair, fanned out over up to
+    /// `available_parallelism` threads, and assembles the lock-free
     /// answerer. Shared by the fit and snapshot-restore paths.
     fn build(
         d: usize,
@@ -82,19 +95,29 @@ impl HdgAnswerer {
         rm_threshold: f64,
         rm_max_iters: usize,
     ) -> Self {
-        let caches = two_d
+        // Every buffer that outlives this call is allocated here, on the
+        // calling thread; the workers only fill the matrices in place.
+        let mut caches: Vec<PairCache> = two_d
             .iter()
             .map(|grid| {
-                let (j, k) = grid.attrs();
-                let matrix =
-                    build_response_matrix(&one_d[j], &one_d[k], grid, rm_threshold, rm_max_iters);
                 let g2 = grid.granularity();
                 PairCache {
                     grid_prefix: PrefixSum2d::build(&grid.freqs, g2, g2),
-                    matrix,
+                    matrix: ResponseMatrix::unfitted(c),
                 }
             })
             .collect();
+        // At least two pairs per worker, so d = 3 (three pairs) builds
+        // serially: two threads would shorten that build by a third at
+        // most, which did not pay for making an otherwise single-threaded
+        // process multi-threaded (see `par_for_each_mut`).
+        par_for_each_mut(&mut caches, 2, |pair, cache| {
+            let grid = &two_d[pair];
+            let (j, k) = grid.attrs();
+            cache
+                .matrix
+                .fit(&one_d[j], &one_d[k], grid, rm_threshold, rm_max_iters, None);
+        });
         HdgAnswerer {
             d,
             c,
@@ -418,6 +441,53 @@ mod tests {
         let model = Hdg::new(cfg).fit(&ds, 1.0, 24).unwrap();
         let q = RangeQuery::from_triples(&[(0, 0, 15)], 32).unwrap();
         assert!(model.answer(&q).is_finite());
+    }
+
+    #[test]
+    fn fanned_out_build_matches_serial_build_bit_for_bit() {
+        use privmdr_grid::response_matrix::build_response_matrix;
+        let (c, cfg) = (64usize, MechanismConfig::default());
+        let bits =
+            |m: &ResponseMatrix| -> Vec<u64> { m.entries().iter().map(|v| v.to_bits()).collect() };
+        // d = 2 and 3 build serially (fewer than two pairs per thread);
+        // d = 4 and 5 fan out wherever more than one CPU is available.
+        for d in [2usize, 3, 4, 5] {
+            let ds = DatasetSpec::Normal { rho: 0.7 }.generate(60_000, d, c, 40 + d as u64);
+            let (one_d, two_d) = fit_hdg_grids(&ds, 1.0, 41, &cfg).unwrap();
+            let built = HdgAnswerer::build(
+                d,
+                c,
+                one_d.clone(),
+                two_d.clone(),
+                cfg.rm_threshold,
+                cfg.rm_max_iters,
+            );
+            assert_eq!(built.caches.len(), two_d.len());
+            for (grid, cache) in two_d.iter().zip(&built.caches) {
+                let (j, k) = grid.attrs();
+                let serial = build_response_matrix(
+                    &one_d[j],
+                    &one_d[k],
+                    grid,
+                    cfg.rm_threshold,
+                    cfg.rm_max_iters,
+                );
+                let fanned = &cache.matrix;
+                assert_eq!(bits(fanned), bits(&serial), "d={d} pair ({j},{k})");
+                assert_eq!(fanned.iterations, serial.iterations);
+                assert_eq!(fanned.final_change.to_bits(), serial.final_change.to_bits());
+                for lo in [0, 5, 31] {
+                    for hi in [lo, 40, c - 1] {
+                        let rect = ((lo, hi), (c - 1 - hi, c - 1 - lo));
+                        assert_eq!(
+                            fanned.rect_sum(rect).to_bits(),
+                            serial.rect_sum(rect).to_bits(),
+                            "d={d} pair ({j},{k}) rect {rect:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,28 @@ pub struct PrefixSum2d {
 impl PrefixSum2d {
     /// Builds the table from row-major `data` of shape `rows × cols`.
     pub fn build(data: &[f64], rows: usize, cols: usize) -> Self {
+        let mut prefix = Self::zeros(rows, cols);
+        prefix.refill(data);
+        prefix
+    }
+
+    /// The table of an all-zero `rows × cols` array; [`PrefixSum2d::refill`]
+    /// later overwrites it in place.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        PrefixSum2d {
+            rows,
+            cols,
+            table: vec![0f64; (rows + 1) * (cols + 1)],
+        }
+    }
+
+    /// Recomputes the table from row-major `data` of the same shape, without
+    /// allocating.
+    pub fn refill(&mut self, data: &[f64]) {
+        let (rows, cols) = (self.rows, self.cols);
         assert_eq!(data.len(), rows * cols);
         let w = cols + 1;
-        let mut table = vec![0f64; (rows + 1) * w];
+        let table = &mut self.table;
         for r in 0..rows {
             let mut row_acc = 0f64;
             for c in 0..cols {
@@ -28,7 +47,6 @@ impl PrefixSum2d {
                 table[(r + 1) * w + (c + 1)] = table[r * w + (c + 1)] + row_acc;
             }
         }
-        PrefixSum2d { rows, cols, table }
     }
 
     /// Sum over the half-open rectangle `[r0, r1) × [c0, c1)`.

@@ -13,7 +13,8 @@
 //! * [`pow2`] — power-of-two rounding used by the granularity guideline.
 //! * [`rng`] — deterministic seed derivation so every experiment is
 //!   reproducible from a single master seed.
-//! * [`par`] — scoped-thread work distribution (`par_map`) and contiguous
+//! * [`par`] — scoped-thread work distribution (`par_map`,
+//!   `par_for_each_mut`) and contiguous
 //!   slice sharding (`split_chunks`), shared by the bench harness and the
 //!   protocol's report-ingestion engine.
 //! * [`sync`] — poison-tolerant locking for deterministic caches, shared

@@ -1,48 +1,77 @@
 //! Minimal scoped-thread work distribution (no external thread pool).
 //!
-//! Two primitives cover every parallel path in the workspace:
+//! Three primitives cover every parallel path in the workspace:
 //!
-//! * [`par_map`] — apply a function to every item of a slice, preserving
-//!   order, with work claimed through an atomic cursor so uneven item costs
-//!   balance naturally. Used by the bench harness to sweep experiment cells
-//!   and by the protocol collector to process report shards.
+//! * [`par_for_each_mut`] — run a function on every item of a mutable
+//!   slice in place, with items claimed one at a time so uneven costs
+//!   balance naturally. HDG's per-pair response-matrix build fills
+//!   caller-allocated matrices with it.
+//! * [`par_map`] — the same, collecting one result per item in order. Used
+//!   by the bench harness to sweep experiment cells and by the protocol
+//!   collector and query server to process shards.
 //! * [`split_chunks`] — deterministic near-equal partition of a slice into
 //!   contiguous chunks, the sharding layout of the report-ingestion engine
 //!   (contiguity keeps each shard's pass cache-friendly and makes the
 //!   serial/sharded equivalence argument a statement about addition only).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Applies `f` to every item on `available_parallelism` threads, preserving
-/// order. Items are claimed through an atomic cursor, so uneven cell costs
-/// (HIO vs Uni) balance naturally.
-pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+/// Applies `f(index, item)` to every item on up to `available_parallelism`
+/// threads, in place, giving each thread at least `min_per_thread` items.
+/// Items are claimed one at a time from a shared queue, so uneven item
+/// costs (HIO vs Uni cells, pairs that converge early) balance naturally;
+/// with one thread it runs inline and spawns nothing.
+///
+/// `min_per_thread` lets a caller keep small batches serial. Spawning has
+/// a cost beyond the spawn itself: the first thread a process creates
+/// moves glibc's malloc off its single-thread fast path for the rest of
+/// the process's life, which slowed the allocation-heavy client and
+/// one-shard serve paths of an otherwise single-threaded process by 5–12%
+/// (2-CPU x86-64 host).
+///
+/// The function itself allocates nothing on the workers: a caller that
+/// allocates the buffers `f` fills before the call keeps them out of the
+/// workers' per-thread malloc arenas, which would otherwise grow the
+/// process's resident memory.
+pub fn par_for_each_mut<T: Send>(
+    items: &mut [T],
+    min_per_thread: usize,
+    f: impl Fn(usize, &mut T) + Sync,
+) {
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
-        .unwrap_or(4);
-    let threads = threads.min(items.len()).max(1);
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let slot_ptr = SlotVec(slots.as_mut_ptr());
-
+        .unwrap_or(4)
+        .min(items.len() / min_per_thread.max(1));
+    if threads <= 1 {
+        items
+            .iter_mut()
+            .enumerate()
+            .for_each(|(i, item)| f(i, item));
+        return;
+    }
+    let queue = Mutex::new(items.iter_mut().enumerate());
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let cursor = &cursor;
-            let f = &f;
-            let slot_ptr = &slot_ptr;
-            scope.spawn(move || loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= items.len() {
+            scope.spawn(|| loop {
+                // A panicking `f` never holds the lock, so the queue
+                // cannot be poisoned mid-claim; the scope re-raises it.
+                let next = queue
+                    .lock()
+                    .expect("no worker panics while holding the queue lock")
+                    .next();
+                let Some((i, item)) = next else {
                     break;
-                }
-                let r = f(&items[idx]);
-                // SAFETY: each index is claimed by exactly one thread (the
-                // atomic cursor hands out unique values) and `slots` outlives
-                // the scope, so this write is exclusive and in-bounds.
-                unsafe { *slot_ptr.0.add(idx) = Some(r) };
+                };
+                f(i, item);
             });
         }
     });
+}
+
+/// Applies `f` to every item (see [`par_for_each_mut`]), preserving order.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    par_for_each_mut(&mut slots, 1, |i, slot| *slot = Some(f(&items[i])));
     slots
         .into_iter()
         .map(|s| s.expect("every slot written"))
@@ -69,12 +98,6 @@ pub fn split_chunks<T>(items: &[T], parts: usize) -> Vec<&[T]> {
     }
     out
 }
-
-/// Send/Sync wrapper for the raw slot pointer; safe because slot indices are
-/// partitioned by the atomic cursor (see SAFETY above).
-struct SlotVec<R>(*mut Option<R>);
-unsafe impl<R: Send> Send for SlotVec<R> {}
-unsafe impl<R: Send> Sync for SlotVec<R> {}
 
 #[cfg(test)]
 mod tests {
@@ -106,6 +129,17 @@ mod tests {
             acc.wrapping_add(x)
         });
         assert_eq!(out.len(), 64);
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_with_its_index() {
+        for len in [0usize, 1, 2, 3, 17, 256] {
+            for min_per_thread in [0, 1, 2, 100] {
+                let mut items = vec![0usize; len];
+                par_for_each_mut(&mut items, min_per_thread, |i, item| *item += i + 1);
+                assert_eq!(items, (1..=len).collect::<Vec<_>>(), "len = {len}");
+            }
+        }
     }
 
     #[test]
