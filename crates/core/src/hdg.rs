@@ -107,10 +107,11 @@ impl HdgAnswerer {
                 }
             })
             .collect();
-        // At least two pairs per worker, so d = 3 (three pairs) builds
+        // At least two pairs per thread, so d = 3 (three pairs) builds
         // serially: two threads would shorten that build by a third at
         // most, which did not pay for making an otherwise single-threaded
-        // process multi-threaded (see `par_for_each_mut`).
+        // process multi-threaded — a first fan-out still starts the
+        // worker pool, whose threads outlive the call (see `par`).
         par_for_each_mut(&mut caches, 2, |pair, cache| {
             let grid = &two_d[pair];
             let (j, k) = grid.attrs();

@@ -50,7 +50,9 @@ pub struct SplitModel<A> {
     est_threshold: f64,
     est_max_iters: usize,
     /// Per-λ answered-query counters (relaxed atomics: counters only, no
-    /// ordering dependencies) plus total Weighted-Update sweeps.
+    /// ordering dependencies) plus total Weighted-Update sweeps. Batches
+    /// count locally and add once per batch, so concurrent shards touch
+    /// the shared counters a few times per batch, not once per query.
     lambda_counts: Vec<AtomicU64>,
     wu_sweeps: AtomicU64,
 }
@@ -182,9 +184,10 @@ impl<A: PairAnswerer> Model for SplitModel<A> {
         let mut by_pair: HashMap<(usize, usize), (Vec<Rect2d>, Vec<(usize, usize)>)> =
             HashMap::new();
         let mut pair_f: Vec<Vec<f64>> = Vec::with_capacity(queries.len());
+        let mut lambda_counts = [0u64; TELEMETRY_LAMBDA_CAP + 1];
         for (qi, query) in queries.iter().enumerate() {
             let preds = query.predicates();
-            self.count_lambda(preds.len());
+            lambda_counts[preds.len().min(TELEMETRY_LAMBDA_CAP)] += 1;
             if preds.len() == 1 {
                 answers[qi] = self
                     .answerer
@@ -203,6 +206,11 @@ impl<A: PairAnswerer> Model for SplitModel<A> {
                 }
             }
             pair_f.push(vec![0.0; slot]);
+        }
+        for (counter, &n) in self.lambda_counts.iter().zip(&lambda_counts) {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
         // Phase 2: answer the rectangles pair-grouped and scatter them
         // into each query's slot vector. Bucket order does not matter:

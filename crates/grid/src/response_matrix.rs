@@ -13,7 +13,7 @@
 //! A sweep has three stages: the `g1` row bands of `G(j)`, the `g1` column
 //! bands of `G(k)`, and the `g2²` cells of `G(j,k)`. Within one stage the
 //! rectangles are disjoint and share one shape, so rescaling one never
-//! touches another's entries. The kernel therefore walks [`LANES`]
+//! touches another's entries. The kernel therefore walks `LANES` (8)
 //! rectangles of a stage side by side, one accumulator per rectangle:
 //! each rectangle still sums and rescales its own entries in row-major
 //! order, skips itself when its mass is zero, and its change is added to

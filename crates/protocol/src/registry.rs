@@ -327,6 +327,11 @@ impl Tenant {
         queries: &[RangeQuery],
         shards: usize,
     ) -> Vec<f64> {
+        // A disabled cache would miss every probe without counting it and
+        // drop every insert: skip the keys and the miss-batch copy.
+        if self.cache.cap() == 0 {
+            return epoch.server.answer_workload(queries, shards);
+        }
         let mut keys: Vec<Vec<u8>> = queries
             .iter()
             .map(|q| {

@@ -16,12 +16,14 @@
 //! serial pass. All per-pair answering state (response matrices, prefix
 //! sums) is built eagerly when the snapshot is restored and immutable
 //! afterwards, so the hot path holds no lock and shares only read-only
-//! data; the telemetry counters are relaxed atomics. Within each shard
-//! the model's batch planner regroups the chunk by shape (pair-grouped
-//! rectangles, λ-grouped lane-parallel estimation) — an execution
-//! strategy proven answer-preserving, never a semantic change. The
-//! serving property suite (`tests/serving_prop.rs`) pins all of this down
-//! for arbitrary snapshots, workloads, plans, and shard counts.
+//! data. Each shard counts its estimator telemetry locally and adds it to
+//! the model's relaxed-atomic totals once per batch, so the totals do not
+//! depend on the shard count and no counter is shared per query. Within
+//! each shard the model's batch planner regroups the chunk by shape
+//! (pair-grouped rectangles, λ-grouped lane-parallel estimation) — an
+//! execution strategy proven answer-preserving, never a semantic change.
+//! The serving property suite (`tests/serving_prop.rs`) pins all of this
+//! down for arbitrary snapshots, workloads, plans, and shard counts.
 
 use crate::wire::{AnswerBatch, QueryBatch};
 use crate::ProtocolError;

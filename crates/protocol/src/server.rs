@@ -21,9 +21,9 @@
 //! to accumulators one at a time. For the sharded path,
 //! [`Collector::ingest_batch`] splits a batch into contiguous shards
 //! ([`privmdr_util::par::split_chunks`]), partitions *each shard's chunk*
-//! by group, folds it into a private set of per-group counters on its own
-//! thread ([`privmdr_util::par::par_map`]), then merges with `u64`
-//! additions. The merged state is *exactly* the serial state — not
+//! by group, folds it into a private set of per-group counters on the
+//! calling thread or a pool worker ([`privmdr_util::par::par_map`]), then
+//! merges with `u64` additions. The merged state is *exactly* the serial state — not
 //! approximately: support counters are sums of per-report increments, and
 //! `u64` adds commute, so regrouping by group and/or by shard never changes
 //! a counter — and `finalize` is therefore bit-identical regardless of

@@ -84,7 +84,7 @@ use privmdr_core::{ApproachKind, EstimatorKind};
 use privmdr_grid::guideline::Granularities;
 use privmdr_grid::pairs::pair_count;
 use privmdr_oracles::OraclePolicy;
-use privmdr_query::RangeQuery;
+use privmdr_query::{Predicate, RangeQuery};
 
 /// Wire protocol version byte (untagged frames: OLH/HDG implied).
 pub const WIRE_VERSION: u8 = 1;
@@ -821,17 +821,15 @@ impl QueryBatch {
             if buf.remaining() < lambda * PREDICATE_LEN {
                 return Err(ProtocolError::Malformed("truncated query predicates"));
             }
-            let triples: Vec<(usize, usize, usize)> = (0..lambda)
-                .map(|_| {
-                    (
-                        buf.get_u16_le() as usize,
-                        buf.get_u32_le() as usize,
-                        buf.get_u32_le() as usize,
-                    )
+            let preds: Vec<Predicate> = (0..lambda)
+                .map(|_| Predicate {
+                    attr: buf.get_u16_le() as usize,
+                    lo: buf.get_u32_le() as usize,
+                    hi: buf.get_u32_le() as usize,
                 })
                 .collect();
             queries.push(
-                RangeQuery::from_triples(&triples, c)
+                RangeQuery::new(preds, c)
                     .map_err(|_| ProtocolError::Malformed("invalid query in batch"))?,
             );
         }

@@ -186,4 +186,32 @@ proptest! {
             );
         }
     }
+
+    /// Estimator telemetry totals do not depend on how a workload is
+    /// answered: shards count λ locally and add once per batch, so the
+    /// same workload at 1 and 2 shards, or one query per call, leaves the
+    /// same per-λ counts and Weighted-Update sweeps.
+    #[test]
+    fn telemetry_totals_are_shard_invariant(
+        d in 2usize..5,
+        per_lambda in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let snap = random_snapshot(d, 3, EstimatorKind::WeightedUpdate, seed);
+        let queries = mixed_workload(d, snap.c, seed ^ 0x7E, per_lambda);
+        let per_query = QueryServer::new(&snap).unwrap();
+        for q in &queries {
+            per_query.model().answer(q);
+        }
+        let totals = per_query.estimator_telemetry().unwrap();
+        prop_assert_eq!(
+            totals.lambda_counts.iter().map(|&(_, n)| n).sum::<u64>(),
+            queries.len() as u64
+        );
+        for shards in [1usize, 2] {
+            let server = QueryServer::new(&snap).unwrap();
+            server.answer_workload(&queries, shards);
+            prop_assert_eq!(&server.estimator_telemetry().unwrap(), &totals, "{} shards", shards);
+        }
+    }
 }

@@ -13,10 +13,11 @@
 //! * [`pow2`] — power-of-two rounding used by the granularity guideline.
 //! * [`rng`] — deterministic seed derivation so every experiment is
 //!   reproducible from a single master seed.
-//! * [`par`] — scoped-thread work distribution (`par_map`,
-//!   `par_for_each_mut`) and contiguous
-//!   slice sharding (`split_chunks`), shared by the bench harness and the
-//!   protocol's report-ingestion engine.
+//! * [`par`] — work distribution over one lazily started, process-wide
+//!   worker pool (`par_map`, `par_for_each_mut`) and contiguous slice
+//!   sharding (`split_chunks`), shared by the bench harness, HDG's
+//!   response-matrix build and the protocol's ingestion and serving
+//!   engines.
 //! * [`sync`] — poison-tolerant locking for deterministic caches, shared
 //!   by the HDG response-matrix cache and the serving tier's answer cache.
 
