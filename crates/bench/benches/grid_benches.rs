@@ -5,7 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use privmdr_grid::consistency::{post_process, PostProcessConfig};
 use privmdr_grid::pairs::pair_list;
-use privmdr_grid::response_matrix::build_response_matrix;
+use privmdr_grid::response_matrix::{
+    build_response_matrix, fit_group, GroupScratch, PairFit, ResponseMatrix, GROUP_LANES,
+};
 use privmdr_grid::{norm_sub, Grid1d, Grid2d};
 use std::hint::black_box;
 
@@ -102,10 +104,46 @@ fn bench_response_matrix(c: &mut Criterion) {
         for (i, v) in f2.iter_mut().enumerate() {
             *v += 0.004 * ((i * 7 % 5) as f64 - 2.0);
         }
-        let capped = Grid2d::from_freqs((0, 1), g2, cdom, f2).unwrap();
+        let capped = Grid2d::from_freqs((0, 1), g2, cdom, f2.clone()).unwrap();
         group.bench_with_input(BenchmarkId::new("cap_bound_c", cdom), &cdom, |b, _| {
             b.iter(|| black_box(build_response_matrix(&gj, &gk, &capped, 1e-7, 100)))
         });
+        // Four cap-bound pairs, each with its own rotation of the
+        // perturbation, fitted side by side in one grouped pass: the
+        // per-pass cost of an HDG publish with four or more pairs.
+        if cdom == 64 {
+            let grids: Vec<Grid2d> = (0..GROUP_LANES)
+                .map(|s| {
+                    let mut f = f2.clone();
+                    f.rotate_left(s);
+                    Grid2d::from_freqs((0, 1), g2, cdom, f).unwrap()
+                })
+                .collect();
+            let mut matrices: Vec<ResponseMatrix> = (0..GROUP_LANES)
+                .map(|_| ResponseMatrix::unfitted(cdom))
+                .collect();
+            let mut fits: Vec<PairFit<'_>> = matrices
+                .iter_mut()
+                .zip(&grids)
+                .map(|(matrix, g_jk)| PairFit {
+                    matrix,
+                    g_j: &gj,
+                    g_k: &gk,
+                    g_jk,
+                })
+                .collect();
+            let mut scratch = GroupScratch::for_group(&fits);
+            group.bench_with_input(BenchmarkId::new("cap_bound_group4", cdom), &cdom, |b, _| {
+                b.iter(|| {
+                    fit_group(&mut fits, 1e-7, 100, &mut scratch);
+                    black_box(fits[0].matrix.final_change)
+                })
+            });
+            assert!(
+                matrices.iter().all(|m| m.iterations == 100),
+                "every pair of the group must run to the cap"
+            );
+        }
     }
     group.finish();
 }

@@ -84,7 +84,8 @@ pub struct MechanismConfig {
     /// binds on real collections whether or not post-processing is on:
     /// Phase-2 output is consistent only up to its own residual, so the
     /// per-sweep change settles well above `rm_threshold` and every pair
-    /// runs all `rm_max_iters` sweeps.
+    /// runs all `rm_max_iters` sweeps. The cap has a floor of one sweep:
+    /// `0`, which snapshot validation accepts, runs one sweep like `1`.
     pub rm_max_iters: usize,
     /// Convergence threshold of Algorithm 2 (λ-D estimation).
     pub est_threshold: f64,

@@ -23,13 +23,17 @@
 //! That cost is `(d choose 2) · rm_max_iters` sweeps over `3c²` entries:
 //! Phase-2 output is consistent only up to its own residual, so real pairs
 //! run every one of the `rm_max_iters` sweeps rather than converging. It is
-//! paid once per publish by the lane-interleaved kernel
-//! (`privmdr_grid::response_matrix`), with the pairs fanned out over up to
-//! `available_parallelism` threads, two pairs or more per thread. The
-//! matrices are allocated on the calling thread and only filled by the
-//! workers, so the fan-out adds no per-thread malloc arenas to the
-//! process's resident memory. The result is bit-identical to building the
-//! pairs one after another.
+//! paid once per publish by the grouped kernel
+//! (`privmdr_grid::response_matrix::fit_group`), which fits up to four
+//! same-shape pairs per pass, one SIMD lane each, over block-compressed
+//! matrices. The pairs are split into balanced passes of at most four (3
+//! pairs make one pass, 10 make passes of 4, 3 and 3), and the passes are
+//! fanned out over up to `available_parallelism` threads, one pass per
+//! thread at a time; a lone pass (d ≤ 3) runs on the caller. The matrices
+//! and the passes' scratch are allocated on the calling thread and only
+//! filled by the workers, so the fan-out adds no per-thread malloc arenas
+//! to the process's resident memory. The result is bit-identical to
+//! building the pairs one after another.
 
 use crate::config::MechanismConfig;
 use crate::pair_model::{PairAnswerer, Rect2d, SplitModel};
@@ -38,7 +42,9 @@ use privmdr_data::Dataset;
 use privmdr_grid::consistency::post_process;
 use privmdr_grid::guideline::{choose_granularities, default_sigma, Granularities};
 use privmdr_grid::pairs::{pair_index, pair_list};
-use privmdr_grid::response_matrix::ResponseMatrix;
+use privmdr_grid::response_matrix::{
+    fit_group, GroupScratch, PairFit, ResponseMatrix, GROUP_LANES,
+};
 use privmdr_grid::{Grid1d, Grid2d, PrefixSum2d};
 use privmdr_oracles::partition::{partition_users, proportional_sizes};
 use privmdr_util::par::par_for_each_mut;
@@ -84,8 +90,8 @@ struct HdgAnswerer {
 }
 
 impl HdgAnswerer {
-    /// Runs Algorithm 1 for every pair, fanned out over up to
-    /// `available_parallelism` threads, and assembles the lock-free
+    /// Runs Algorithm 1 for every pair, in grouped passes fanned out over
+    /// up to `available_parallelism` threads, and assembles the lock-free
     /// answerer. Shared by the fit and snapshot-restore paths.
     fn build(
         d: usize,
@@ -95,8 +101,8 @@ impl HdgAnswerer {
         rm_threshold: f64,
         rm_max_iters: usize,
     ) -> Self {
-        // Every buffer that outlives this call is allocated here, on the
-        // calling thread; the workers only fill the matrices in place.
+        // Every buffer is allocated here, on the calling thread; the
+        // workers only fill the matrices in place.
         let mut caches: Vec<PairCache> = two_d
             .iter()
             .map(|grid| {
@@ -107,17 +113,39 @@ impl HdgAnswerer {
                 }
             })
             .collect();
-        // At least two pairs per thread, so d = 3 (three pairs) builds
-        // serially: two threads would shorten that build by a third at
-        // most, which did not pay for making an otherwise single-threaded
-        // process multi-threaded — a first fan-out still starts the
-        // worker pool, whose threads outlive the call (see `par`).
-        par_for_each_mut(&mut caches, 2, |pair, cache| {
-            let grid = &two_d[pair];
-            let (j, k) = grid.attrs();
-            cache
-                .matrix
-                .fit(&one_d[j], &one_d[k], grid, rm_threshold, rm_max_iters, None);
+        let mut fits: Vec<PairFit<'_>> = caches
+            .iter_mut()
+            .zip(&two_d)
+            .map(|(cache, g_jk)| {
+                let (j, k) = g_jk.attrs();
+                PairFit {
+                    matrix: &mut cache.matrix,
+                    g_j: &one_d[j],
+                    g_k: &one_d[k],
+                    g_jk,
+                }
+            })
+            .collect();
+        // Same-shape pairs share passes of up to GROUP_LANES pairs, split
+        // as evenly as the pass count allows: 3 pairs make one pass, 10
+        // make passes of 4, 3 and 3.
+        fits.sort_by_key(PairFit::shape);
+        let mut passes: Vec<(&mut [PairFit<'_>], GroupScratch)> = Vec::new();
+        for mut run in fits.chunk_by_mut(|a, b| a.shape() == b.shape()) {
+            let count = run.len().div_ceil(GROUP_LANES);
+            for left in (1..=count).rev() {
+                let (pass, rest) = run.split_at_mut(run.len().div_ceil(left));
+                let scratch = GroupScratch::for_group(pass);
+                passes.push((pass, scratch));
+                run = rest;
+            }
+        }
+        // One pass per thread at a time. A lone pass (d ≤ 3) runs on the
+        // caller and touches no pool: a first fan-out starts the worker
+        // pool, whose threads outlive the call (see `par`), and would make
+        // an otherwise single-threaded process multi-threaded for good.
+        par_for_each_mut(&mut passes, 1, |_, (pass, scratch)| {
+            fit_group(pass, rm_threshold, rm_max_iters, scratch);
         });
         HdgAnswerer {
             d,
@@ -447,12 +475,19 @@ mod tests {
     #[test]
     fn fanned_out_build_matches_serial_build_bit_for_bit() {
         use privmdr_grid::response_matrix::build_response_matrix;
-        let (c, cfg) = (64usize, MechanismConfig::default());
+        let c = 64usize;
         let bits =
             |m: &ResponseMatrix| -> Vec<u64> { m.entries().iter().map(|v| v.to_bits()).collect() };
-        // d = 2 and 3 build serially (fewer than two pairs per thread);
-        // d = 4 and 5 fan out wherever more than one CPU is available.
-        for d in [2usize, 3, 4, 5] {
+        // 1, 3, 6, 10, 15 and 21 pairs: a lone pair (1-lane pass), one
+        // partial pass, and full and partial 4-pair passes. d ≤ 3 is one
+        // pass on the caller; d ≥ 4 fans its passes out wherever more than
+        // one CPU is available. The last case skips post-processing
+        // (IHDG), so raw negative estimates reach Algorithm 1.
+        let post_processed = MechanismConfig::default();
+        let cases = (2..=7usize)
+            .map(|d| (d, post_processed))
+            .chain([(4, post_processed.without_post_process())]);
+        for (d, cfg) in cases {
             let ds = DatasetSpec::Normal { rho: 0.7 }.generate(60_000, d, c, 40 + d as u64);
             let (one_d, two_d) = fit_hdg_grids(&ds, 1.0, 41, &cfg).unwrap();
             let built = HdgAnswerer::build(
@@ -464,6 +499,7 @@ mod tests {
                 cfg.rm_max_iters,
             );
             assert_eq!(built.caches.len(), two_d.len());
+            let label = format!("d={d} post-process {}", cfg.post_process.enabled);
             for (grid, cache) in two_d.iter().zip(&built.caches) {
                 let (j, k) = grid.attrs();
                 let serial = build_response_matrix(
@@ -474,7 +510,7 @@ mod tests {
                     cfg.rm_max_iters,
                 );
                 let fanned = &cache.matrix;
-                assert_eq!(bits(fanned), bits(&serial), "d={d} pair ({j},{k})");
+                assert_eq!(bits(fanned), bits(&serial), "{label} pair ({j},{k})");
                 assert_eq!(fanned.iterations, serial.iterations);
                 assert_eq!(fanned.final_change.to_bits(), serial.final_change.to_bits());
                 for lo in [0, 5, 31] {
@@ -483,7 +519,7 @@ mod tests {
                         assert_eq!(
                             fanned.rect_sum(rect).to_bits(),
                             serial.rect_sum(rect).to_bits(),
-                            "d={d} pair ({j},{k}) rect {rect:?}"
+                            "{label} pair ({j},{k}) rect {rect:?}"
                         );
                     }
                 }

@@ -8,20 +8,68 @@
 //! matches the cell's noisy frequency, until the total change per sweep
 //! drops below a threshold (the paper uses `1/n`).
 //!
-//! # The lane-interleaved sweep
+//! A sweep has three stages: the `g_j` row bands of `G(j)`, the `g_k`
+//! column bands of `G(k)`, and the `g2²` cells of `G(j,k)`. Within one
+//! stage the rectangles are disjoint and share one shape. Each rectangle
+//! sums its entries in row-major order, skips itself when that mass is
+//! zero, rescales its entries by `target / mass`, and adds the absolute
+//! changes of its entries, in row-major order, to a change that is then
+//! added to the sweep's total in rectangle order. That is
+//! [`build_response_matrix_reference`], the oracle of the production
+//! kernel.
 //!
-//! A sweep has three stages: the `g1` row bands of `G(j)`, the `g1` column
-//! bands of `G(k)`, and the `g2²` cells of `G(j,k)`. Within one stage the
-//! rectangles are disjoint and share one shape, so rescaling one never
-//! touches another's entries. The kernel therefore walks `LANES` (8)
-//! rectangles of a stage side by side, one accumulator per rectangle:
-//! each rectangle still sums and rescales its own entries in row-major
-//! order, skips itself when its mass is zero, and its change is added to
-//! the running total in the original rectangle order. Every f64 operation
-//! sequence is the one the rectangle-at-a-time loop performs, so entries,
-//! `iterations`, `final_change` and the observer trace are **bit-identical**
-//! to [`build_response_matrix_reference`]; only the serial add chains are
-//! gone. `tests/response_matrix_prop.rs` pins this down.
+//! # Block compression
+//!
+//! Cut the matrix into blocks of `c / max(g_j, g2)` rows by
+//! `c / max(g_k, g2)` columns. All granularities are powers of two
+//! dividing `c`, so the block height divides both the `G(j)` band height
+//! `c / g_j` and the `G(j,k)` cell side `c / g2`, the block width divides
+//! `c / g_k` and `c / g2`, and the `G(k)` bands span all `c` rows. Every
+//! rectangle of every stage is therefore a union of whole blocks.
+//!
+//! **Invariant: the entries of a block are bit-equal at every sweep.** By
+//! induction over the rescales: all entries start at `1 / c²`. A rescale
+//! either covers a block or misses it entirely. If it covers it, it
+//! multiplies each of the block's entries by the one factor
+//! `target / mass`; equal operands give the same IEEE-754 product, so the
+//! entries stay equal, and so do their changes `|new − old|`. If the
+//! rectangle is skipped for zero mass, nothing changes.
+//!
+//! The kernel therefore keeps one value per block. A rectangle's mass and
+//! change are still serial f64 add chains over its entries, so the kernel
+//! replays them entry by entry, in row-major order, over the block values:
+//! a per-stage walk lists the block of each entry of a rectangle. The
+//! multiply, subtract and absolute value run once per block, and the
+//! `c × c` entries are written out once, after the last sweep. At `c = 64`,
+//! `g_j = g_k = 32`, `g2 = 4` a block is 2 × 2 entries, so the working set
+//! shrinks 4×. With single-entry blocks (`g_j = g_k = c`) block order is
+//! entry order, so the change chain is added as the blocks are rescaled,
+//! without storing the changes.
+//!
+//! # Pairs as lanes
+//!
+//! [`fit_group`] fits up to [`GROUP_LANES`] pairs of one shape in one
+//! pass, one f64 lane per pair in structure-of-arrays layout, so one
+//! 256-bit vector operation advances the same step of four pairs. Each
+//! lane keeps its own convergence flag. A lane that has met the threshold,
+//! a padding lane, and a lane whose rectangle has zero mass are multiplied
+//! by exactly `1.0`, which leaves their entries' bits alone (entries are
+//! arithmetic results, never signaling NaNs), so the rescale needs no
+//! blend or branch. A zero-mass rectangle's entries are finite, so its
+//! change is exactly the `0.0` the reference adds; a finished lane's
+//! change is ignored. Within a live lane every f64 operation is the one
+//! the reference performs, in the reference's order, with no fused
+//! multiply-add. Lane arithmetic is IEEE-754 scalar arithmetic, so entries,
+//! `iterations`, `final_change` and the observer trace are
+//! **bit-identical** to [`build_response_matrix_reference`].
+//! `tests/response_matrix_prop.rs` pins this down for the portable and the
+//! AVX2 body.
+//!
+//! Each stage also walks four rectangles side by side, so each lane
+//! has that many independent add chains in flight. The body is
+//! instantiated at 1 lane (lone pairs and the observed path) and at 4, and
+//! runs compiled for AVX2 where `privmdr_util::hash::kernel_backend()`
+//! finds it, portably otherwise.
 //!
 //! Inputs that went through Phase-2 post-processing are consistent only up
 //! to the post-processing's own residual, so on real collections the total
@@ -33,9 +81,15 @@ use crate::grid1d::Grid1d;
 use crate::grid2d::Grid2d;
 use crate::prefix::PrefixSum2d;
 
-/// Rectangles rescaled side by side within one sweep stage: enough
-/// independent f64 add chains to keep the FP units busy.
-const LANES: usize = 8;
+/// Pairs [`fit_group`] fits in one pass: one f64 lane each, so four fill
+/// a 256-bit AVX2 register.
+pub const GROUP_LANES: usize = 4;
+
+/// Rectangles of a sweep stage walked side by side, each with its own add
+/// chains: enough chains to hide the f64 add latency, few enough to keep
+/// in registers. Of 2, 4, 8 and 16, 4 was fastest at both lane counts
+/// (c = 64, g1 ∈ {16, 32, 64}, g2 ∈ {4, 8}; 2-CPU x86-64 host with AVX2).
+const RECTS: usize = 4;
 
 /// The fused `c × c` joint-frequency estimate for one attribute pair, with a
 /// prefix table for O(1) rectangle sums.
@@ -52,9 +106,9 @@ pub struct ResponseMatrix {
 
 impl ResponseMatrix {
     /// An unfitted `c × c` matrix: both buffers allocated, nothing
-    /// computed yet. [`ResponseMatrix::fit`] fills them in place without
-    /// allocating, so a caller can allocate on its own thread and fit on
-    /// worker threads (see `privmdr_util::par::par_for_each_mut`).
+    /// computed yet. [`fit_group`] fills them in place, so a caller can
+    /// allocate on its own thread and fit on worker threads (see
+    /// `privmdr_util::par::par_for_each_mut`).
     pub fn unfitted(c: usize) -> Self {
         ResponseMatrix {
             c,
@@ -68,8 +122,9 @@ impl ResponseMatrix {
     /// Runs Algorithm 1 into this matrix's buffers, with an optional
     /// per-sweep observer. `threshold` is the total-change stopping
     /// criterion (paper: any value below `1/n` gives indistinguishable
-    /// results); `max_iters` bounds the sweep count (the paper's Appendix
-    /// A.1 uses 100).
+    /// results). `max_iters` caps the sweep count (the paper's Appendix
+    /// A.1 uses 100), with a floor of one: `max_iters = 0` still runs one
+    /// sweep, as the reference does.
     pub fn fit(
         &mut self,
         g_j: &Grid1d,
@@ -77,36 +132,23 @@ impl ResponseMatrix {
         g_jk: &Grid2d,
         threshold: f64,
         max_iters: usize,
-        mut observer: Option<SweepObserver<'_>>,
+        observer: Option<SweepObserver<'_>>,
     ) {
-        let c = self.c;
-        assert_eq!(g_jk.domain(), c, "pair grid domain must match the matrix");
-        assert_eq!(g_j.domain(), c, "1-D grid domains must match the pair grid");
-        assert_eq!(g_k.domain(), c, "1-D grid domains must match the pair grid");
-
-        let m = &mut self.data;
-        m.fill(1.0 / (c * c) as f64);
-        let mut change = f64::INFINITY;
-        let mut iterations = 0usize;
-
-        while iterations < max_iters.max(1) && change >= threshold {
-            change = 0.0;
-            // G(j): each cell constrains a row band [rows] × [0, c).
-            scale_tiling(m, c, g_j.freqs.len(), 1, &g_j.freqs, &mut change);
-            // G(k): each cell constrains a column band [0, c) × [cols].
-            scale_tiling(m, c, 1, g_k.freqs.len(), &g_k.freqs, &mut change);
-            // G(j,k): each cell constrains its own rectangle.
-            let g2 = g_jk.granularity();
-            scale_tiling(m, c, g2, g2, &g_jk.freqs, &mut change);
-            iterations += 1;
-            if let Some(obs) = observer.as_mut() {
-                obs(iterations, change);
-            }
-        }
-
-        self.prefix.refill(m);
-        self.final_change = change;
-        self.iterations = iterations;
+        let mut fits = [PairFit {
+            matrix: self,
+            g_j,
+            g_k,
+            g_jk,
+        }];
+        let mut scratch = GroupScratch::default();
+        run_group(
+            &mut fits,
+            threshold,
+            max_iters,
+            observer,
+            &mut scratch,
+            dispatched(),
+        );
     }
 
     /// Domain size `c` (matrix is `c × c`).
@@ -163,110 +205,556 @@ pub fn build_response_matrix_observed(
     matrix
 }
 
-/// One sweep stage: rescales each of the `rows × cols` equal rectangles
-/// tiling the `c × c` matrix `m` to its target (`targets` in row-major
-/// rectangle order), [`LANES`] rectangles at a time, adding each
-/// rectangle's change to `change` in rectangle order.
-fn scale_tiling(
-    m: &mut [f64],
-    c: usize,
-    rows: usize,
-    cols: usize,
-    targets: &[f64],
-    change: &mut f64,
+/// One pair of a [`fit_group`] pass: the matrix to fill and the three grids
+/// it fuses.
+#[derive(Debug)]
+pub struct PairFit<'a> {
+    /// Output, overwritten by the fit (allocate with
+    /// [`ResponseMatrix::unfitted`]).
+    pub matrix: &'a mut ResponseMatrix,
+    /// The 1-D grid of the pair's first attribute.
+    pub g_j: &'a Grid1d,
+    /// The 1-D grid of the pair's second attribute.
+    pub g_k: &'a Grid1d,
+    /// The pair's 2-D grid.
+    pub g_jk: &'a Grid2d,
+}
+
+impl PairFit<'_> {
+    /// Pairs of one shape can share a [`fit_group`] pass.
+    pub fn shape(&self) -> (usize, usize, usize, usize) {
+        let s = Shape::of(self);
+        (s.c, s.gj, s.gk, s.g2)
+    }
+}
+
+/// Runs Algorithm 1 for 1 to [`GROUP_LANES`] pairs of one
+/// [`PairFit::shape`] in one pass. Each matrix ends up bit-identical to
+/// [`ResponseMatrix::fit`] on its own grids, with the same one-sweep floor
+/// on `max_iters`.
+///
+/// `scratch` is grown to the pass's working set if it is smaller; one made
+/// by [`GroupScratch::for_group`] keeps that allocation on the thread that
+/// made it. Dispatches once per process through
+/// `privmdr_util::hash::kernel_backend()`: AVX2 code where the CPU has it,
+/// the portable body otherwise.
+pub fn fit_group(
+    fits: &mut [PairFit<'_>],
+    threshold: f64,
+    max_iters: usize,
+    scratch: &mut GroupScratch,
 ) {
-    assert!(rows > 0 && cols > 0 && c.is_multiple_of(rows) && c.is_multiple_of(cols));
-    assert_eq!(targets.len(), rows * cols);
-    assert_eq!(m.len(), c * c);
-    let (h, w) = (c / rows, c / cols);
-    let origin = |i: usize| (i / cols) * h * c + (i % cols) * w;
-    let mut groups = targets.chunks_exact(LANES);
-    let tail_start = targets.len() - groups.remainder().len();
-    // SAFETY: `scale_lanes` reads and writes `origin[l] + r * c + col` for
-    // `r < h`, `col < w`. Rectangle `i < rows * cols` starts at row
-    // `(i / cols) * h` and column `(i % cols) * w`, and the asserts above
-    // make `rows * h == c` and `cols * w == c` (for grids, `check_geometry`
-    // already forces power-of-two granularities dividing `c`), so every
-    // rectangle lies inside the `c × c` slice. Distinct `i` tile disjoint
-    // rectangles, so no two lanes of one call touch the same entry, and
-    // `origin` increases with `i`, so each call's first origin is its least.
-    unsafe {
-        for (g, t) in (&mut groups).enumerate() {
-            let origins = std::array::from_fn(|l| origin(g * LANES + l));
-            let t: &[f64; LANES] = t.try_into().expect("chunk of LANES");
-            scale_lanes(m, c, h, w, origins, t, change);
+    run_group(fits, threshold, max_iters, None, scratch, dispatched());
+}
+
+/// [`fit_group`] pinned to the portable body, so the equivalence tests
+/// reach it on machines where dispatch picks AVX2.
+pub fn fit_group_portable(
+    fits: &mut [PairFit<'_>],
+    threshold: f64,
+    max_iters: usize,
+    scratch: &mut GroupScratch,
+) {
+    run_group(fits, threshold, max_iters, None, scratch, Backend::Portable);
+}
+
+/// [`fit_group`] pinned to the AVX2 body; `None` (and nothing fitted) when
+/// the CPU lacks AVX2.
+#[cfg(target_arch = "x86_64")]
+pub fn fit_group_avx2(
+    fits: &mut [PairFit<'_>],
+    threshold: f64,
+    max_iters: usize,
+    scratch: &mut GroupScratch,
+) -> Option<()> {
+    std::arch::is_x86_feature_detected!("avx2")
+        .then(|| run_group(fits, threshold, max_iters, None, scratch, Backend::Avx2))
+}
+
+/// Working memory of a [`fit_group`] pass, reusable across passes.
+#[derive(Debug, Default)]
+pub struct GroupScratch {
+    /// Block values, block changes and stage targets, `[f64; L]` each.
+    lanes: Vec<f64>,
+    /// One walk per sweep stage.
+    walks: [Walk; 3],
+}
+
+impl GroupScratch {
+    /// Scratch sized for a pass over `fits`, so the pass allocates nothing.
+    pub fn for_group(fits: &[PairFit<'_>]) -> Self {
+        let mut scratch = GroupScratch::default();
+        if let Some(fit) = fits.first() {
+            scratch.reserve(Shape::of(fit), lanes_for(fits.len()));
         }
-        for (i, &t) in targets.iter().enumerate().skip(tail_start) {
-            scale_lanes(m, c, h, w, [origin(i)], &[t], change);
+        scratch
+    }
+
+    fn reserve(&mut self, shape: Shape, lanes: usize) {
+        let (nbr, stride) = (shape.blocks().0, shape.stride());
+        let Shape { gj, gk, g2, .. } = shape;
+        let len = lanes * (2 * nbr * stride + gj + gk + g2 * g2);
+        if self.lanes.len() < len {
+            self.lanes.resize(len, 0.0);
+        }
+        for (walk, tiles) in self.walks.iter_mut().zip(shape.stages()) {
+            let ((h, w), (rh, rw)) = shape.rect(tiles);
+            // `reserve` counts from the length; `fill` clears first.
+            walk.entries.clear();
+            walk.entries.reserve(h * w);
+            walk.blocks.clear();
+            walk.blocks.reserve(rh * rw);
         }
     }
 }
 
-/// Rescales `L` disjoint `h × w` rectangles of `m` (row stride `c`, top-left
-/// entries at `origins`) so each sums to its `targets` lane, exactly as
-/// [`scale_rect`] would one after another: each lane sums and rescales in
-/// row-major order, a zero-mass lane is left unchanged and contributes
-/// `0.0`, and the lanes' changes are added to `change` in lane order.
-///
-/// Raw pointers rather than slice indexing: with bounds checks the kernel
-/// ran 1.4× faster than the reference instead of 2.0× (c=64, g1=32, g2=4,
-/// 2-CPU x86-64 host).
+/// How the kernel visits the rectangles of one sweep stage, as block
+/// offsets from a rectangle's top-left block. Indexing through a table
+/// also keeps the compiler from vectorizing across blocks, which would
+/// split each block's lanes apart.
+#[derive(Debug, Default)]
+struct Walk {
+    /// The block of each entry, row-major over the rectangle's entries:
+    /// the order of the reference's add chains.
+    entries: Vec<u32>,
+    /// Each block once, row-major.
+    blocks: Vec<u32>,
+}
+
+impl Walk {
+    /// Rebuilds the walk for rectangles of `shape` in the stage `tiles`.
+    fn fill(&mut self, shape: Shape, tiles: (usize, usize)) {
+        let (nbr, nbc) = shape.blocks();
+        let (bh, bw) = (shape.c / nbr, shape.c / nbc);
+        let ((h, w), (rh, rw)) = shape.rect(tiles);
+        let stride = shape.stride();
+        let offset =
+            |rb: usize, cb: usize| u32::try_from(rb * stride + cb).expect("block fits u32");
+        self.entries.clear();
+        self.entries
+            .extend((0..h * w).map(|e| offset(e / w / bh, e % w / bw)));
+        self.blocks.clear();
+        self.blocks
+            .extend((0..rh * rw).map(|b| offset(b / rw, b % rw)));
+    }
+}
+
+/// Lanes of the body that runs a pass over `pairs` pairs.
+fn lanes_for(pairs: usize) -> usize {
+    if pairs == 1 {
+        1
+    } else {
+        GROUP_LANES
+    }
+}
+
+/// Which compilation of the sweep body a pass runs.
+#[derive(Debug, Clone, Copy)]
+enum Backend {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+/// The backend this process runs: AVX2 wherever `kernel_backend` found
+/// AVX2 or AVX-512 (which implies it), portable otherwise.
+fn dispatched() -> Backend {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use privmdr_util::hash::{kernel_backend, KernelBackend};
+        if matches!(
+            kernel_backend(),
+            KernelBackend::Avx2 | KernelBackend::Avx512
+        ) {
+            return Backend::Avx2;
+        }
+    }
+    Backend::Portable
+}
+
+/// The geometry of one pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shape {
+    c: usize,
+    gj: usize,
+    gk: usize,
+    g2: usize,
+}
+
+impl Shape {
+    fn of(fit: &PairFit<'_>) -> Self {
+        let c = fit.g_jk.domain();
+        assert_eq!(
+            fit.g_j.domain(),
+            c,
+            "1-D grid domains must match the pair grid"
+        );
+        assert_eq!(
+            fit.g_k.domain(),
+            c,
+            "1-D grid domains must match the pair grid"
+        );
+        assert_eq!(fit.matrix.c, c, "pair grid domain must match the matrix");
+        Shape {
+            c,
+            gj: fit.g_j.granularity(),
+            gk: fit.g_k.granularity(),
+            g2: fit.g_jk.granularity(),
+        }
+    }
+
+    /// Block rows and block columns of the matrix (see the module docs).
+    fn blocks(&self) -> (usize, usize) {
+        (self.gj.max(self.g2), self.gk.max(self.g2))
+    }
+
+    /// Blocks per stored block row: one more than the matrix has, so that
+    /// rectangle groups a power-of-two number of rows apart do not sit a
+    /// multiple of 4 KiB apart, where a load waits on an unrelated store
+    /// (4K aliasing). The padding took a four-pair pass at c = 64,
+    /// g1 = 32, g2 = 4 from 2.6 to 1.9 ms on a 2-CPU x86-64 host.
+    fn stride(&self) -> usize {
+        self.blocks().1 + 1
+    }
+
+    /// The three sweep stages, in order, as tilings of the matrix into
+    /// `rows × cols` equal rectangles: `G(j)`'s row bands, `G(k)`'s column
+    /// bands, `G(j,k)`'s cells.
+    fn stages(&self) -> [(usize, usize); 3] {
+        [(self.gj, 1), (1, self.gk), (self.g2, self.g2)]
+    }
+
+    /// The extent of one rectangle of the tiling `(rows, cols)`, in
+    /// entries and in blocks.
+    fn rect(&self, (rows, cols): (usize, usize)) -> ((usize, usize), (usize, usize)) {
+        let (nbr, nbc) = self.blocks();
+        ((self.c / rows, self.c / cols), (nbr / rows, nbc / cols))
+    }
+}
+
+/// Checks the group, picks the lane count, and runs one pass.
+fn run_group(
+    fits: &mut [PairFit<'_>],
+    threshold: f64,
+    max_iters: usize,
+    observer: Option<SweepObserver<'_>>,
+    scratch: &mut GroupScratch,
+    backend: Backend,
+) {
+    assert!(
+        (1..=GROUP_LANES).contains(&fits.len()),
+        "a pass fits 1 to {GROUP_LANES} pairs"
+    );
+    let shape = Shape::of(&fits[0]);
+    assert!(
+        fits.iter().all(|f| Shape::of(f) == shape),
+        "pairs of one pass must share a shape"
+    );
+    scratch.reserve(shape, lanes_for(fits.len()));
+    if fits.len() == 1 {
+        run_pass::<1>(
+            fits, shape, threshold, max_iters, observer, scratch, backend,
+        );
+    } else {
+        run_pass::<GROUP_LANES>(
+            fits, shape, threshold, max_iters, observer, scratch, backend,
+        );
+    }
+}
+
+/// One `L`-lane pass: transposes the targets into lanes, sweeps, and
+/// writes each live lane's blocks out as its `c × c` entries.
+fn run_pass<const L: usize>(
+    fits: &mut [PairFit<'_>],
+    shape: Shape,
+    threshold: f64,
+    max_iters: usize,
+    observer: Option<SweepObserver<'_>>,
+    scratch: &mut GroupScratch,
+    backend: Backend,
+) {
+    for (walk, tiles) in scratch.walks.iter_mut().zip(shape.stages()) {
+        walk.fill(shape, tiles);
+    }
+    let (lanes, _) = scratch.lanes.as_chunks_mut::<L>();
+    let (nbr, nbc) = shape.blocks();
+    let stride = shape.stride();
+    let (vals, rest) = lanes.split_at_mut(nbr * stride);
+    let (deltas, targets) = rest.split_at_mut(nbr * stride);
+    for (l, fit) in fits.iter().enumerate() {
+        let stages = [&fit.g_j.freqs, &fit.g_k.freqs, &fit.g_jk.freqs];
+        for (t, &f) in targets.iter_mut().zip(stages.into_iter().flatten()) {
+            t[l] = f;
+        }
+    }
+    // Padding lanes never run a sweep; their targets only need to be
+    // defined.
+    for t in targets.iter_mut() {
+        t[fits.len()..].fill(0.0);
+    }
+    let pass = Pass {
+        shape,
+        vals,
+        deltas,
+        targets,
+        walks: &scratch.walks,
+        live: fits.len(),
+        threshold,
+        max_iters,
+    };
+    let (iterations, final_change) = match backend {
+        Backend::Portable => sweep(pass, observer),
+        // SAFETY: `Backend::Avx2` is only chosen after
+        // `is_x86_feature_detected!` confirmed AVX2 on this CPU.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { sweep_avx2(pass, observer) },
+    };
+
+    let (lanes, _) = scratch.lanes.as_chunks::<L>();
+    let (c, bh, bw) = (shape.c, shape.c / nbr, shape.c / nbc);
+    for (l, fit) in fits.iter_mut().enumerate() {
+        let m = &mut *fit.matrix;
+        for (r, row) in m.data.chunks_exact_mut(c).enumerate() {
+            let blocks = &lanes[(r / bh) * stride..][..nbc];
+            for (entries, block) in row.chunks_exact_mut(bw).zip(blocks) {
+                entries.fill(block[l]);
+            }
+        }
+        m.prefix.refill(&m.data);
+        m.iterations = iterations[l];
+        m.final_change = final_change[l];
+    }
+}
+
+/// The working set of one `L`-lane pass, in lane groups `[f64; L]`.
+struct Pass<'a, const L: usize> {
+    shape: Shape,
+    /// Block values, row-major over the blocks.
+    vals: &'a mut [[f64; L]],
+    /// Each block's `|new − old|` from its latest rescale, laid out as
+    /// `vals`.
+    deltas: &'a mut [[f64; L]],
+    /// Stage targets: `G(j)`'s cells, then `G(k)`'s, then `G(j,k)`'s.
+    targets: &'a [[f64; L]],
+    walks: &'a [Walk; 3],
+    /// Lanes `0..live` hold pairs; the rest are padding.
+    live: usize,
+    threshold: f64,
+    max_iters: usize,
+}
+
+/// [`sweep`] compiled for AVX2. FMA stays off, so no multiply and add can
+/// fuse.
 ///
 /// # Safety
 ///
-/// Every index `origins[l] + r * c + col` with `r < h`, `col < w` must be in
-/// bounds of `m`, the `L` rectangles must not overlap, and `origins` must
-/// be ascending.
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sweep_avx2<const L: usize>(
+    pass: Pass<'_, L>,
+    observer: Option<SweepObserver<'_>>,
+) -> ([usize; L], [f64; L]) {
+    sweep(pass, observer)
+}
+
+/// The sweep loop of Algorithm 1 over `L` lanes. Returns each lane's sweep
+/// count and final change; padding lanes report `0` and infinity.
 #[inline(always)]
-unsafe fn scale_lanes<const L: usize>(
-    m: &mut [f64],
-    c: usize,
-    h: usize,
-    w: usize,
-    origins: [usize; L],
-    targets: &[f64; L],
-    change: &mut f64,
-) {
-    // Lane `l` sits `offsets[l]` entries after lane 0 in every row, so one
-    // moving pointer plus loop-invariant offsets addresses all lanes.
-    let base = m.as_mut_ptr().add(origins[0]);
-    let offsets: [usize; L] = std::array::from_fn(|l| origins[l] - origins[0]);
-    let mut y = [0.0f64; L];
-    for r in 0..h {
-        let row = base.add(r * c);
-        for col in 0..w {
-            let q = row.add(col);
-            for l in 0..L {
-                y[l] += *q.add(offsets[l]);
+fn sweep<const L: usize>(
+    pass: Pass<'_, L>,
+    mut observer: Option<SweepObserver<'_>>,
+) -> ([usize; L], [f64; L]) {
+    let Pass {
+        shape,
+        vals,
+        deltas,
+        targets,
+        walks,
+        live,
+        threshold,
+        max_iters,
+    } = pass;
+    let stride = shape.stride();
+    vals.fill([1.0 / (shape.c * shape.c) as f64; L]);
+    // The reference loops while `change >= threshold` with the change
+    // starting at infinity, so a NaN threshold runs no sweep at all.
+    let mut active: [bool; L] = std::array::from_fn(|l| l < live && f64::INFINITY >= threshold);
+    let mut iterations = [0usize; L];
+    let mut final_change = [f64::INFINITY; L];
+    let mut sweeps = 0usize;
+    while sweeps < max_iters.max(1) && active.contains(&true) {
+        let mut change = [0.0f64; L];
+        let mut rest = targets;
+        for (tiles, walk) in shape.stages().into_iter().zip(walks) {
+            let (stage_targets, later) = rest.split_at(tiles.0 * tiles.1);
+            rest = later;
+            let stage = Stage {
+                stride,
+                tile_cols: tiles.1,
+                rect: shape.rect(tiles).1,
+                entries: &walk.entries,
+                blocks: &walk.blocks,
+            };
+            stage.scale(vals, deltas, stage_targets, &active, &mut change);
+        }
+        sweeps += 1;
+        for l in 0..L {
+            if active[l] {
+                iterations[l] = sweeps;
+                final_change[l] = change[l];
+                // The reference continues only while `change >= threshold`;
+                // freezing on its negation keeps a NaN change exact.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                if !(change[l] >= threshold) {
+                    active[l] = false;
+                }
             }
         }
-    }
-    // Algorithm 1 line 7 skips a zero-mass rectangle. A zero sum means
-    // every entry is finite, and `v * 1.0 == v`, `|v - v| == 0.0` for
-    // finite `v`, so a factor of 1 leaves the entries bit-for-bit alone
-    // and adds exactly the `0.0` the skip returns.
-    let factor: [f64; L] =
-        std::array::from_fn(|l| if y[l] == 0.0 { 1.0 } else { targets[l] / y[l] });
-    let mut lane_change = [0.0f64; L];
-    for r in 0..h {
-        let row = base.add(r * c);
-        for col in 0..w {
-            let q = row.add(col);
-            for l in 0..L {
-                let v = q.add(offsets[l]);
-                let new = *v * factor[l];
-                lane_change[l] += (new - *v).abs();
-                *v = new;
-            }
+        if let Some(obs) = observer.as_mut() {
+            obs(sweeps, change[0]);
         }
     }
-    for ch in lane_change {
-        *change += ch;
+    (iterations, final_change)
+}
+
+/// One sweep stage of a pass.
+#[derive(Debug, Clone, Copy)]
+struct Stage<'a> {
+    /// Blocks per block row of the matrix.
+    stride: usize,
+    /// Rectangles per row of the tiling.
+    tile_cols: usize,
+    /// A rectangle's extent in blocks.
+    rect: (usize, usize),
+    /// [`Walk::entries`], borrowed as a slice so the compiler keeps it in
+    /// registers across the stores to the blocks.
+    entries: &'a [u32],
+    /// [`Walk::blocks`].
+    blocks: &'a [u32],
+}
+
+impl Stage<'_> {
+    /// Rescales every rectangle of the stage to its target (`targets` in
+    /// row-major rectangle order), [`RECTS`] at a time, adding each
+    /// rectangle's change to `change` in rectangle order.
+    #[inline(always)]
+    fn scale<const L: usize>(
+        self,
+        vals: &mut [[f64; L]],
+        deltas: &mut [[f64; L]],
+        targets: &[[f64; L]],
+        active: &[bool; L],
+        change: &mut [f64; L],
+    ) {
+        let (rh, rw) = self.rect;
+        let origin = |i: usize| (i / self.tile_cols) * rh * self.stride + (i % self.tile_cols) * rw;
+        let mut groups = targets.chunks_exact(RECTS);
+        for (g, t) in (&mut groups).enumerate() {
+            let origins = std::array::from_fn(|r| origin(g * RECTS + r));
+            let t = t.try_into().expect("chunk of RECTS");
+            self.scale_rects::<L, RECTS>(vals, deltas, origins, t, active, change);
+        }
+        let tail = targets.len() - groups.remainder().len();
+        for (i, t) in groups.remainder().iter().enumerate() {
+            let origins = [origin(tail + i)];
+            self.scale_rects::<L, 1>(vals, deltas, origins, &[*t], active, change);
+        }
+    }
+
+    /// Rescales the `R` disjoint rectangles whose top-left blocks are
+    /// `origins`, as the reference's `scale_rect` would one after another.
+    /// Per lane, the mass and the change are add chains over the
+    /// rectangle's entries in row-major order, a zero mass leaves the
+    /// blocks alone and contributes `0.0`, and the rectangles' changes are
+    /// added to `change` in order. Inactive lanes are left alone too.
+    #[inline(always)]
+    fn scale_rects<const L: usize, const R: usize>(
+        self,
+        vals: &mut [[f64; L]],
+        deltas: &mut [[f64; L]],
+        origins: [usize; R],
+        targets: &[[f64; L]; R],
+        active: &[bool; L],
+        change: &mut [f64; L],
+    ) {
+        let (rh, rw) = self.rect;
+        let span = (rh - 1) * self.stride + rw;
+
+        let mut y = [[0.0f64; L]; R];
+        let region: [&[[f64; L]]; R] = std::array::from_fn(|r| &vals[origins[r]..][..span]);
+        for &b in self.entries {
+            for r in 0..R {
+                let v = region[r][b as usize];
+                for l in 0..L {
+                    y[r][l] += v[l];
+                }
+            }
+        }
+
+        // A lane that skips the rectangle (zero mass) or sits out the sweep
+        // (finished or padding) is multiplied by exactly 1.0, which leaves
+        // every entry's bits alone: the entries are arithmetic results, so
+        // never signaling NaNs. A skipped lane's entries are finite (they
+        // sum to zero), so its change is exactly the reference's `0.0`;
+        // a lane that sits out has its change ignored.
+        let factor: [[f64; L]; R] = std::array::from_fn(|r| {
+            std::array::from_fn(|l| {
+                if active[l] && y[r][l] != 0.0 {
+                    targets[r][l] / y[r][l]
+                } else {
+                    1.0
+                }
+            })
+        });
+        let mut rect_change = [[0.0f64; L]; R];
+        if self.entries.len() == self.blocks.len() {
+            // Single-entry blocks: block order is entry order, so the
+            // change chains run as the blocks are rescaled.
+            for &b in self.blocks {
+                for r in 0..R {
+                    let d = rescale(&mut vals[origins[r] + b as usize], &factor[r]);
+                    for l in 0..L {
+                        rect_change[r][l] += d[l];
+                    }
+                }
+            }
+        } else {
+            for r in 0..R {
+                let v = &mut vals[origins[r]..][..span];
+                let d = &mut deltas[origins[r]..][..span];
+                for &b in self.blocks {
+                    d[b as usize] = rescale(&mut v[b as usize], &factor[r]);
+                }
+            }
+            let region: [&[[f64; L]]; R] = std::array::from_fn(|r| &deltas[origins[r]..][..span]);
+            for &b in self.entries {
+                for r in 0..R {
+                    let d = region[r][b as usize];
+                    for l in 0..L {
+                        rect_change[r][l] += d[l];
+                    }
+                }
+            }
+        }
+        for rc in rect_change {
+            for l in 0..L {
+                change[l] += rc[l];
+            }
+        }
     }
 }
 
+/// Multiplies one block by `factor` and returns its `|new − old|`.
+#[inline(always)]
+fn rescale<const L: usize>(v: &mut [f64; L], factor: &[f64; L]) -> [f64; L] {
+    let old = *v;
+    *v = std::array::from_fn(|l| old[l] * factor[l]);
+    std::array::from_fn(|l| (v[l] - old[l]).abs())
+}
+
 /// The rectangle-at-a-time form of Algorithm 1, kept as the reference
-/// implementation the lane-interleaved [`ResponseMatrix::fit`] is proven
+/// implementation the grouped [`fit_group`] kernel is proven
 /// bit-identical to (`tests/response_matrix_prop.rs`) — hot paths should
 /// call [`build_response_matrix`] instead.
 pub fn build_response_matrix_reference(

@@ -1,23 +1,28 @@
-//! Bit-identity of the lane-interleaved Algorithm 1.
+//! Bit-identity of the block-compressed, pair-grouped Algorithm 1.
 //!
 //! [`build_response_matrix_reference`] is the rectangle-at-a-time form of
-//! Algorithm 1. The production kernel behind [`build_response_matrix`]
-//! rescales up to eight disjoint rectangles of a sweep stage side by side
-//! and must reproduce the reference **bit for bit** — entries, prefix-table
-//! sums, `iterations`, `final_change` and every observer call — or HDG's
-//! golden answers, and the serial ≡ sharded ≡ restored contract built on
-//! them, silently move.
+//! Algorithm 1. The production kernel keeps one value per block of
+//! bit-equal entries, walks several rectangles of a sweep stage side by
+//! side, and fits up to four pairs at once, one per SIMD lane
+//! ([`fit_group`]). Every pair must still reproduce the reference **bit for
+//! bit** — entries, prefix-table sums, `iterations`, `final_change` and
+//! every observer call — or HDG's golden answers, and the serial ≡ sharded
+//! ≡ restored contract built on them, silently move.
 //!
-//! Covered: every power-of-two domain from 2 to 256 with `g_j ≠ g_k`;
-//! stages whose rectangle count is below the lane width; zero-mass
-//! rectangles (the `y == 0` skip); negative, unnormalized inputs as in the
-//! IHDG ablation (post-processing off); `threshold = 0` (always run to the
-//! cap) and consistent inputs that converge early. Runs in debug and
-//! release in CI.
+//! Covered, for lone pairs: every power-of-two domain from 2 to 256 with
+//! `g_j ≠ g_k`; stages with fewer rectangles than are walked side by side;
+//! zero-mass rectangles (the `y == 0` skip); negative, unnormalized inputs
+//! as in the IHDG ablation (post-processing off); `threshold = 0` (always
+//! run to the cap), consistent inputs that converge early, and the
+//! one-sweep floor. For groups, through the dispatched, portable and AVX2
+//! bodies: 1 to 4 live lanes, lanes that converge early beside lanes that
+//! run to the cap, blocks whose height comes from `g2`, single-entry
+//! blocks, and inputs whose entries overflow to infinity and NaN. Runs in
+//! debug and release in CI.
 
 use privmdr_grid::response_matrix::{
     build_response_matrix, build_response_matrix_observed, build_response_matrix_reference,
-    ResponseMatrix,
+    fit_group, fit_group_portable, GroupScratch, PairFit, ResponseMatrix, GROUP_LANES,
 };
 use privmdr_grid::{Grid1d, Grid2d};
 use proptest::prelude::*;
@@ -201,9 +206,10 @@ fn matches_reference_at_every_power_of_two_domain() {
 
 #[test]
 fn matches_reference_when_rectangle_counts_are_below_the_lane_width() {
-    // g1 = 2 bands and g2 = 2 (4 cells) never fill an 8-lane group; g = 1
-    // and 4 exercise the other sub-lane counts, and 16 bands next to 2
-    // mixes full groups with a lone remainder stage.
+    // The kernel walks four rectangles of a stage side by side. g = 1 and
+    // g1 = 2 bands never fill such a group and run as remainders alone;
+    // g = 4 bands and g2 = 2 (4 cells) fill exactly one; 16 bands next to
+    // 2 mix stages of full groups with remainder-only stages.
     for (c, gj, gk, g2) in [
         (16, 2, 2, 2),
         (64, 2, 2, 2),
@@ -306,12 +312,235 @@ fn matches_reference_at_threshold_zero_and_on_early_convergence() {
         let sweeps = assert_matches_reference(&consistent_grids(s, &p), 1e-9, 100, &label);
         assert!(sweeps < 100, "{label}: converged after {sweeps} sweeps");
     }
-    // max_iters = 0 still runs one sweep.
+    // max_iters = 0 still runs one sweep: the cap has a floor of one.
     let sweeps = assert_matches_reference(&noisy_grids(s, 7), 1e-7, 0, "max_iters 0");
     assert_eq!(sweeps, 1);
 }
 
+type Grids = (Grid1d, Grid1d, Grid2d);
+
+/// One way to run a grouped pass.
+type GroupFit = fn(&mut [PairFit<'_>], f64, usize, &mut GroupScratch) -> Option<()>;
+
+/// The grouped entry points: dispatched, portable, and AVX2 (which
+/// returns `None` on a CPU without it).
+fn group_fits() -> Vec<(&'static str, GroupFit)> {
+    let mut fits: Vec<(&'static str, GroupFit)> = vec![
+        ("dispatched", |f, t, m, s| {
+            fit_group(f, t, m, s);
+            Some(())
+        }),
+        ("portable", |f, t, m, s| {
+            fit_group_portable(f, t, m, s);
+            Some(())
+        }),
+    ];
+    #[cfg(target_arch = "x86_64")]
+    fits.push(("avx2", privmdr_grid::response_matrix::fit_group_avx2));
+    fits
+}
+
+/// Fits `group` in one pass through every grouped entry point and asserts
+/// that each lane matches the reference bit for bit. Returns each pair's
+/// sweep count.
+fn assert_group_matches_reference(
+    group: &[Grids],
+    threshold: f64,
+    max_iters: usize,
+    label: &str,
+) -> Vec<usize> {
+    let reference: Vec<ResponseMatrix> = group
+        .iter()
+        .map(|(gj, gk, gjk)| {
+            build_response_matrix_reference(gj, gk, gjk, threshold, max_iters, None)
+        })
+        .collect();
+    for (name, fit) in group_fits() {
+        let mut matrices: Vec<ResponseMatrix> = group
+            .iter()
+            .map(|g| ResponseMatrix::unfitted(g.2.domain()))
+            .collect();
+        let mut fits: Vec<PairFit<'_>> = matrices
+            .iter_mut()
+            .zip(group)
+            .map(|(matrix, (g_j, g_k, g_jk))| PairFit {
+                matrix,
+                g_j,
+                g_k,
+                g_jk,
+            })
+            .collect();
+        let mut scratch = GroupScratch::for_group(&fits);
+        if fit(&mut fits, threshold, max_iters, &mut scratch).is_none() {
+            continue;
+        }
+        for (lane, (got, want)) in matrices.iter().zip(&reference).enumerate() {
+            let label = format!("{label} {name} lane {lane}/{}", group.len());
+            assert_eq!(bits(got), bits(want), "{label}: entries");
+            assert_eq!(got.iterations, want.iterations, "{label}: iterations");
+            assert_eq!(
+                got.final_change.to_bits(),
+                want.final_change.to_bits(),
+                "{label}: final_change {} vs {}",
+                got.final_change,
+                want.final_change
+            );
+            let c = got.domain();
+            for lo in [0, c / 3, c / 2] {
+                for hi in [lo, (lo + c) / 2, c - 1] {
+                    let rect = ((lo, hi), (c - 1 - hi, c - 1 - lo));
+                    assert_eq!(
+                        got.rect_sum(rect).to_bits(),
+                        want.rect_sum(rect).to_bits(),
+                        "{label}: rect_sum {rect:?}"
+                    );
+                }
+            }
+        }
+    }
+    reference.iter().map(|m| m.iterations).collect()
+}
+
+/// Grids for the `lane`-th pair of a group: noisy (cap-bound), consistent
+/// (converging early), raw-negative, or with zero-mass cells, by `kind`.
+fn grids_of_kind(s: Shape, kind: usize, salt: u64) -> Grids {
+    match kind % 4 {
+        0 => noisy_grids(s, salt),
+        1 => consistent_grids(s, &joint(s.c, salt, 0)),
+        2 => negative_grids(s, salt),
+        _ => consistent_grids(s, &joint(s.c, salt, 3)),
+    }
+}
+
+#[test]
+fn groups_of_one_to_four_pairs_match_the_reference() {
+    for (c, gj, gk, g2) in [
+        (64, 32, 32, 4),
+        (64, 16, 16, 4),
+        (64, 64, 64, 8),
+        (32, 8, 16, 2),
+        (16, 2, 4, 4),
+    ] {
+        let s = Shape { c, gj, gk, g2 };
+        for live in 1..=GROUP_LANES {
+            let group: Vec<Grids> = (0..live)
+                .map(|lane| noisy_grids(s, 10 * lane as u64 + live as u64))
+                .collect();
+            let label = format!("{s:?} noisy");
+            let sweeps = assert_group_matches_reference(&group, 1e-7, 40, &label);
+            assert!(
+                sweeps.iter().all(|&n| n == 40),
+                "{label}: cap-bound {sweeps:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn groups_mixing_early_convergence_with_cap_bound_lanes_match_the_reference() {
+    // Consistent lanes stop after a few sweeps and must not move again
+    // while the noisy and raw-negative lanes of the same pass run on.
+    for (c, gj, gk, g2) in [(64, 32, 32, 4), (32, 16, 8, 4), (16, 16, 16, 2)] {
+        let s = Shape { c, gj, gk, g2 };
+        for first in 0..4 {
+            let group: Vec<Grids> = (0..GROUP_LANES)
+                .map(|lane| grids_of_kind(s, first + lane, 100 + lane as u64))
+                .collect();
+            let label = format!("{s:?} kinds from {first}");
+            let sweeps = assert_group_matches_reference(&group, 1e-9, 60, &label);
+            assert!(
+                sweeps.iter().any(|&n| n < 60) && sweeps.contains(&60),
+                "{label}: want early and cap-bound lanes, got {sweeps:?}"
+            );
+        }
+        // Three live lanes and one padding lane, early lane last.
+        let group: Vec<Grids> = [0, 2, 1]
+            .iter()
+            .map(|&kind| grids_of_kind(s, kind, 7))
+            .collect();
+        assert_group_matches_reference(&group, 1e-9, 60, &format!("{s:?} 3 live"));
+    }
+}
+
+#[test]
+fn groups_whose_block_height_comes_from_g2_match_the_reference() {
+    // g2 > g_j: blocks are c/g2 rows high; g2 > g_k as well in the last
+    // shape, so blocks are as wide as 2-D cells.
+    for (c, gj, gk, g2) in [(64, 4, 16, 16), (32, 2, 8, 4), (64, 8, 8, 32)] {
+        let s = Shape { c, gj, gk, g2 };
+        let group: Vec<Grids> = (0..GROUP_LANES)
+            .map(|lane| grids_of_kind(s, lane, 3 + lane as u64))
+            .collect();
+        assert_group_matches_reference(&group, 1e-7, 50, &format!("{s:?}"));
+    }
+}
+
+#[test]
+fn groups_at_threshold_zero_and_the_sweep_floor_match_the_reference() {
+    let s = Shape {
+        c: 64,
+        gj: 16,
+        gk: 32,
+        g2: 4,
+    };
+    let group: Vec<Grids> = (0..3).map(|lane| noisy_grids(s, 40 + lane)).collect();
+    let sweeps = assert_group_matches_reference(&group, 0.0, 30, "threshold 0");
+    assert_eq!(sweeps, vec![30; 3]);
+    let sweeps = assert_group_matches_reference(&group, 1e-7, 0, "max_iters 0");
+    assert_eq!(sweeps, vec![1; 3], "the cap has a floor of one sweep");
+    let sweeps = assert_group_matches_reference(&group, f64::NAN, 30, "NaN threshold");
+    assert_eq!(sweeps, vec![0; 3], "a NaN threshold runs no sweep");
+}
+
+#[test]
+fn groups_whose_entries_go_non_finite_match_the_reference() {
+    // Targets near f64::MAX overflow the first rescale to infinity; the
+    // next stage's infinite mass turns entries into NaN and the change into
+    // NaN, which ends that lane. The other lanes run on to the cap.
+    let s = Shape {
+        c: 32,
+        gj: 16,
+        gk: 16,
+        g2: 4,
+    };
+    let overflowing = || {
+        let (mut gj, gk, gjk) = noisy_grids(s, 9);
+        gj.freqs.iter_mut().for_each(|v| *v = f64::MAX);
+        (gj, gk, gjk)
+    };
+    let group = vec![noisy_grids(s, 1), overflowing(), negative_grids(s, 2)];
+    let sweeps = assert_group_matches_reference(&group, 1e-7, 20, "overflow");
+    assert_eq!(sweeps, vec![20, 1, 20]);
+    let (m, ..) = {
+        let (gj, gk, gjk) = overflowing();
+        (build_response_matrix(&gj, &gk, &gjk, 1e-7, 20), ())
+    };
+    assert!(m.entries().iter().all(|v| v.is_nan()), "entries go NaN");
+    assert!(m.final_change.is_nan());
+}
+
 proptest! {
+    /// Random geometry and a random group of 1 to 4 pairs, each noisy,
+    /// consistent, raw-negative or with zero-mass cells.
+    #[test]
+    fn groups_match_reference_on_random_geometry(
+        c_exp in 1u32..7,
+        gj_exp in 0u32..7,
+        gk_exp in 0u32..7,
+        g2_exp in 0u32..7,
+        live in 1usize..=GROUP_LANES,
+        kinds in 0usize..256,
+        salt in 0u64..1_000_000,
+    ) {
+        let c = 1usize << c_exp;
+        let g = |e: u32| 1usize << e.min(c_exp);
+        let s = Shape { c, gj: g(gj_exp), gk: g(gk_exp), g2: g(g2_exp) };
+        let group: Vec<Grids> = (0..live)
+            .map(|lane| grids_of_kind(s, kinds >> (2 * lane), salt + lane as u64))
+            .collect();
+        assert_group_matches_reference(&group, 1e-7, 25, &format!("{s:?} salt {salt}"));
+    }
+
     /// Random geometry and inputs, noisy or raw-negative.
     #[test]
     fn matches_reference_on_random_geometry(
