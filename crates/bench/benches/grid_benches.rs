@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use privmdr_grid::consistency::{post_process, PostProcessConfig};
 use privmdr_grid::pairs::pair_list;
 use privmdr_grid::response_matrix::{
-    build_response_matrix, fit_group, GroupScratch, PairFit, ResponseMatrix, GROUP_LANES,
+    build_response_matrix, fit_group, PairFit, ResponseMatrix, GROUP_LANES,
 };
 use privmdr_grid::{norm_sub, Grid1d, Grid2d};
 use std::hint::black_box;
@@ -132,10 +132,9 @@ fn bench_response_matrix(c: &mut Criterion) {
                     g_jk,
                 })
                 .collect();
-            let mut scratch = GroupScratch::for_group(&fits);
             group.bench_with_input(BenchmarkId::new("cap_bound_group4", cdom), &cdom, |b, _| {
                 b.iter(|| {
-                    fit_group(&mut fits, 1e-7, 100, &mut scratch);
+                    fit_group(&mut fits, 1e-7, 100);
                     black_box(fits[0].matrix.final_change)
                 })
             });

@@ -30,10 +30,11 @@
 //! pairs make one pass, 10 make passes of 4, 3 and 3), and the passes are
 //! fanned out over up to `available_parallelism` threads, one pass per
 //! thread at a time; a lone pass (d ≤ 3) runs on the caller. The matrices
-//! and the passes' scratch are allocated on the calling thread and only
-//! filled by the workers, so the fan-out adds no per-thread malloc arenas
-//! to the process's resident memory. The result is bit-identical to
-//! building the pairs one after another.
+//! are allocated on the calling thread and only filled by the workers, so
+//! publishes do not grow the workers' per-thread malloc arenas; each
+//! participant keeps one kernel scratch for its life, allocated on its
+//! first pass. The result is bit-identical to building the pairs one after
+//! another.
 
 use crate::config::MechanismConfig;
 use crate::pair_model::{PairAnswerer, Rect2d, SplitModel};
@@ -42,9 +43,7 @@ use privmdr_data::Dataset;
 use privmdr_grid::consistency::post_process;
 use privmdr_grid::guideline::{choose_granularities, default_sigma, Granularities};
 use privmdr_grid::pairs::{pair_index, pair_list};
-use privmdr_grid::response_matrix::{
-    fit_group, GroupScratch, PairFit, ResponseMatrix, GROUP_LANES,
-};
+use privmdr_grid::response_matrix::{fit_group, PairFit, ResponseMatrix, GROUP_LANES};
 use privmdr_grid::{Grid1d, Grid2d, PrefixSum2d};
 use privmdr_oracles::partition::{partition_users, proportional_sizes};
 use privmdr_util::par::par_for_each_mut;
@@ -101,8 +100,8 @@ impl HdgAnswerer {
         rm_threshold: f64,
         rm_max_iters: usize,
     ) -> Self {
-        // Every buffer is allocated here, on the calling thread; the
-        // workers only fill the matrices in place.
+        // Every buffer the answerer keeps is allocated here, on the
+        // calling thread; the workers only fill the matrices in place.
         let mut caches: Vec<PairCache> = two_d
             .iter()
             .map(|grid| {
@@ -130,13 +129,12 @@ impl HdgAnswerer {
         // as evenly as the pass count allows: 3 pairs make one pass, 10
         // make passes of 4, 3 and 3.
         fits.sort_by_key(PairFit::shape);
-        let mut passes: Vec<(&mut [PairFit<'_>], GroupScratch)> = Vec::new();
+        let mut passes: Vec<&mut [PairFit<'_>]> = Vec::new();
         for mut run in fits.chunk_by_mut(|a, b| a.shape() == b.shape()) {
             let count = run.len().div_ceil(GROUP_LANES);
             for left in (1..=count).rev() {
                 let (pass, rest) = run.split_at_mut(run.len().div_ceil(left));
-                let scratch = GroupScratch::for_group(pass);
-                passes.push((pass, scratch));
+                passes.push(pass);
                 run = rest;
             }
         }
@@ -144,8 +142,8 @@ impl HdgAnswerer {
         // caller and touches no pool: a first fan-out starts the worker
         // pool, whose threads outlive the call (see `par`), and would make
         // an otherwise single-threaded process multi-threaded for good.
-        par_for_each_mut(&mut passes, 1, |_, (pass, scratch)| {
-            fit_group(pass, rm_threshold, rm_max_iters, scratch);
+        par_for_each_mut(&mut passes, 1, |_, pass| {
+            fit_group(pass, rm_threshold, rm_max_iters);
         });
         HdgAnswerer {
             d,

@@ -42,9 +42,17 @@
 //! multiply, subtract and absolute value run once per block, and the
 //! `c × c` entries are written out once, after the last sweep. At `c = 64`,
 //! `g_j = g_k = 32`, `g2 = 4` a block is 2 × 2 entries, so the working set
-//! shrinks 4×. With single-entry blocks (`g_j = g_k = c`) block order is
-//! entry order, so the change chain is added as the blocks are rescaled,
-//! without storing the changes.
+//! shrinks 4×.
+//!
+//! The block values and their changes take `2 · L · (c / bh) · (c / bw + 1)`
+//! f64s of scratch for an `L`-lane pass over blocks of `bh × bw` entries.
+//! Each thread keeps one scratch for its life, grown to the largest pass it
+//! has run, so repeated publishes allocate none and a process holds at most
+//! one scratch per thread that has fitted a pair. That is small next to the
+//! matrices when blocks are large (17 KiB per lane at `c = 64`, `g1 = 32`,
+//! `g2 = 4`, against 64 KiB of entries and prefix sums per pair), but as
+//! large as a pass's matrices when blocks are single entries (`g1 = c`): a
+//! thread that has run a 4-lane pass at `c = 1024` holds about 64 MiB.
 //!
 //! # Pairs as lanes
 //!
@@ -80,6 +88,8 @@
 use crate::grid1d::Grid1d;
 use crate::grid2d::Grid2d;
 use crate::prefix::PrefixSum2d;
+use privmdr_util::hash::{kernel_backend, KernelBackend};
+use std::cell::Cell;
 
 /// Pairs [`fit_group`] fits in one pass: one f64 lane each, so four fill
 /// a 256-bit AVX2 register.
@@ -119,38 +129,6 @@ impl ResponseMatrix {
         }
     }
 
-    /// Runs Algorithm 1 into this matrix's buffers, with an optional
-    /// per-sweep observer. `threshold` is the total-change stopping
-    /// criterion (paper: any value below `1/n` gives indistinguishable
-    /// results). `max_iters` caps the sweep count (the paper's Appendix
-    /// A.1 uses 100), with a floor of one: `max_iters = 0` still runs one
-    /// sweep, as the reference does.
-    pub fn fit(
-        &mut self,
-        g_j: &Grid1d,
-        g_k: &Grid1d,
-        g_jk: &Grid2d,
-        threshold: f64,
-        max_iters: usize,
-        observer: Option<SweepObserver<'_>>,
-    ) {
-        let mut fits = [PairFit {
-            matrix: self,
-            g_j,
-            g_k,
-            g_jk,
-        }];
-        let mut scratch = GroupScratch::default();
-        run_group(
-            &mut fits,
-            threshold,
-            max_iters,
-            observer,
-            &mut scratch,
-            dispatched(),
-        );
-    }
-
     /// Domain size `c` (matrix is `c × c`).
     pub fn domain(&self) -> usize {
         self.c
@@ -180,7 +158,11 @@ impl ResponseMatrix {
 /// the Fig. 17 convergence experiment.
 pub type SweepObserver<'a> = &'a mut dyn FnMut(usize, f64);
 
-/// Runs Algorithm 1 (see [`ResponseMatrix::fit`]).
+/// Runs Algorithm 1 for one pair. `threshold` is the total-change stopping
+/// criterion (paper: any value below `1/n` gives indistinguishable
+/// results). `max_iters` caps the sweep count (the paper's Appendix A.1
+/// uses 100), with a floor of one: `max_iters = 0` still runs one sweep, as
+/// the reference does.
 pub fn build_response_matrix(
     g_j: &Grid1d,
     g_k: &Grid1d,
@@ -201,7 +183,13 @@ pub fn build_response_matrix_observed(
     observer: Option<SweepObserver<'_>>,
 ) -> ResponseMatrix {
     let mut matrix = ResponseMatrix::unfitted(g_jk.domain());
-    matrix.fit(g_j, g_k, g_jk, threshold, max_iters, observer);
+    let mut fits = [PairFit {
+        matrix: &mut matrix,
+        g_j,
+        g_k,
+        g_jk,
+    }];
+    run_group(&mut fits, threshold, max_iters, observer, kernel_backend());
     matrix
 }
 
@@ -230,50 +218,41 @@ impl PairFit<'_> {
 
 /// Runs Algorithm 1 for 1 to [`GROUP_LANES`] pairs of one
 /// [`PairFit::shape`] in one pass. Each matrix ends up bit-identical to
-/// [`ResponseMatrix::fit`] on its own grids, with the same one-sweep floor
-/// on `max_iters`.
+/// [`build_response_matrix`] on its own grids, with the same one-sweep
+/// floor on `max_iters`.
 ///
-/// `scratch` is grown to the pass's working set if it is smaller; one made
-/// by [`GroupScratch::for_group`] keeps that allocation on the thread that
-/// made it. Dispatches once per process through
-/// `privmdr_util::hash::kernel_backend()`: AVX2 code where the CPU has it,
-/// the portable body otherwise.
-pub fn fit_group(
-    fits: &mut [PairFit<'_>],
-    threshold: f64,
-    max_iters: usize,
-    scratch: &mut GroupScratch,
-) {
-    run_group(fits, threshold, max_iters, None, scratch, dispatched());
+/// The pass works in the calling thread's scratch (see the module docs),
+/// which it grows if the pass needs more. Dispatches once per process
+/// through `privmdr_util::hash::kernel_backend()`: AVX2 code where the CPU
+/// has it, the portable body otherwise.
+pub fn fit_group(fits: &mut [PairFit<'_>], threshold: f64, max_iters: usize) {
+    run_group(fits, threshold, max_iters, None, kernel_backend());
 }
 
 /// [`fit_group`] pinned to the portable body, so the equivalence tests
 /// reach it on machines where dispatch picks AVX2.
-pub fn fit_group_portable(
-    fits: &mut [PairFit<'_>],
-    threshold: f64,
-    max_iters: usize,
-    scratch: &mut GroupScratch,
-) {
-    run_group(fits, threshold, max_iters, None, scratch, Backend::Portable);
+pub fn fit_group_portable(fits: &mut [PairFit<'_>], threshold: f64, max_iters: usize) {
+    run_group(fits, threshold, max_iters, None, KernelBackend::Portable);
 }
 
 /// [`fit_group`] pinned to the AVX2 body; `None` (and nothing fitted) when
 /// the CPU lacks AVX2.
 #[cfg(target_arch = "x86_64")]
-pub fn fit_group_avx2(
-    fits: &mut [PairFit<'_>],
-    threshold: f64,
-    max_iters: usize,
-    scratch: &mut GroupScratch,
-) -> Option<()> {
+pub fn fit_group_avx2(fits: &mut [PairFit<'_>], threshold: f64, max_iters: usize) -> Option<()> {
     std::arch::is_x86_feature_detected!("avx2")
-        .then(|| run_group(fits, threshold, max_iters, None, scratch, Backend::Avx2))
+        .then(|| run_group(fits, threshold, max_iters, None, KernelBackend::Avx2))
 }
 
-/// Working memory of a [`fit_group`] pass, reusable across passes.
+thread_local! {
+    /// This thread's pass scratch. A pass takes it out and puts it back,
+    /// so an observer that fits another pair on the same thread works in
+    /// a scratch of its own.
+    static SCRATCH: Cell<GroupScratch> = Cell::new(GroupScratch::default());
+}
+
+/// Working memory of a pass.
 #[derive(Debug, Default)]
-pub struct GroupScratch {
+struct GroupScratch {
     /// Block values, block changes and stage targets, `[f64; L]` each.
     lanes: Vec<f64>,
     /// One walk per sweep stage.
@@ -281,15 +260,7 @@ pub struct GroupScratch {
 }
 
 impl GroupScratch {
-    /// Scratch sized for a pass over `fits`, so the pass allocates nothing.
-    pub fn for_group(fits: &[PairFit<'_>]) -> Self {
-        let mut scratch = GroupScratch::default();
-        if let Some(fit) = fits.first() {
-            scratch.reserve(Shape::of(fit), lanes_for(fits.len()));
-        }
-        scratch
-    }
-
+    /// Grows the scratch to a pass over `lanes` lanes of `shape`.
     fn reserve(&mut self, shape: Shape, lanes: usize) {
         let (nbr, stride) = (shape.blocks().0, shape.stride());
         let Shape { gj, gk, g2, .. } = shape;
@@ -337,39 +308,6 @@ impl Walk {
         self.blocks
             .extend((0..rh * rw).map(|b| offset(b / rw, b % rw)));
     }
-}
-
-/// Lanes of the body that runs a pass over `pairs` pairs.
-fn lanes_for(pairs: usize) -> usize {
-    if pairs == 1 {
-        1
-    } else {
-        GROUP_LANES
-    }
-}
-
-/// Which compilation of the sweep body a pass runs.
-#[derive(Debug, Clone, Copy)]
-enum Backend {
-    Portable,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-/// The backend this process runs: AVX2 wherever `kernel_backend` found
-/// AVX2 or AVX-512 (which implies it), portable otherwise.
-fn dispatched() -> Backend {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use privmdr_util::hash::{kernel_backend, KernelBackend};
-        if matches!(
-            kernel_backend(),
-            KernelBackend::Avx2 | KernelBackend::Avx512
-        ) {
-            return Backend::Avx2;
-        }
-    }
-    Backend::Portable
 }
 
 /// The geometry of one pair.
@@ -432,14 +370,14 @@ impl Shape {
     }
 }
 
-/// Checks the group, picks the lane count, and runs one pass.
+/// Checks the group, picks the lane count, and runs one pass in this
+/// thread's scratch.
 fn run_group(
     fits: &mut [PairFit<'_>],
     threshold: f64,
     max_iters: usize,
     observer: Option<SweepObserver<'_>>,
-    scratch: &mut GroupScratch,
-    backend: Backend,
+    backend: KernelBackend,
 ) {
     assert!(
         (1..=GROUP_LANES).contains(&fits.len()),
@@ -450,16 +388,29 @@ fn run_group(
         fits.iter().all(|f| Shape::of(f) == shape),
         "pairs of one pass must share a shape"
     );
-    scratch.reserve(shape, lanes_for(fits.len()));
+    let mut scratch = SCRATCH.take();
     if fits.len() == 1 {
         run_pass::<1>(
-            fits, shape, threshold, max_iters, observer, scratch, backend,
+            fits,
+            shape,
+            threshold,
+            max_iters,
+            observer,
+            &mut scratch,
+            backend,
         );
     } else {
         run_pass::<GROUP_LANES>(
-            fits, shape, threshold, max_iters, observer, scratch, backend,
+            fits,
+            shape,
+            threshold,
+            max_iters,
+            observer,
+            &mut scratch,
+            backend,
         );
     }
+    SCRATCH.set(scratch);
 }
 
 /// One `L`-lane pass: transposes the targets into lanes, sweeps, and
@@ -471,8 +422,9 @@ fn run_pass<const L: usize>(
     max_iters: usize,
     observer: Option<SweepObserver<'_>>,
     scratch: &mut GroupScratch,
-    backend: Backend,
+    backend: KernelBackend,
 ) {
+    scratch.reserve(shape, L);
     for (walk, tiles) in scratch.walks.iter_mut().zip(shape.stages()) {
         walk.fill(shape, tiles);
     }
@@ -503,11 +455,12 @@ fn run_pass<const L: usize>(
         max_iters,
     };
     let (iterations, final_change) = match backend {
-        Backend::Portable => sweep(pass, observer),
-        // SAFETY: `Backend::Avx2` is only chosen after
-        // `is_x86_feature_detected!` confirmed AVX2 on this CPU.
+        // SAFETY: both SIMD backends are only ever selected after
+        // `is_x86_feature_detected!` confirmed AVX2 on this CPU (AVX-512
+        // implies it).
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { sweep_avx2(pass, observer) },
+        KernelBackend::Avx512 | KernelBackend::Avx2 => unsafe { sweep_avx2(pass, observer) },
+        _ => sweep(pass, observer),
     };
 
     let (lanes, _) = scratch.lanes.as_chunks::<L>();
@@ -707,33 +660,20 @@ impl Stage<'_> {
                 }
             })
         });
-        let mut rect_change = [[0.0f64; L]; R];
-        if self.entries.len() == self.blocks.len() {
-            // Single-entry blocks: block order is entry order, so the
-            // change chains run as the blocks are rescaled.
+        for r in 0..R {
+            let v = &mut vals[origins[r]..][..span];
+            let d = &mut deltas[origins[r]..][..span];
             for &b in self.blocks {
-                for r in 0..R {
-                    let d = rescale(&mut vals[origins[r] + b as usize], &factor[r]);
-                    for l in 0..L {
-                        rect_change[r][l] += d[l];
-                    }
-                }
+                d[b as usize] = rescale(&mut v[b as usize], &factor[r]);
             }
-        } else {
+        }
+        let mut rect_change = [[0.0f64; L]; R];
+        let region: [&[[f64; L]]; R] = std::array::from_fn(|r| &deltas[origins[r]..][..span]);
+        for &b in self.entries {
             for r in 0..R {
-                let v = &mut vals[origins[r]..][..span];
-                let d = &mut deltas[origins[r]..][..span];
-                for &b in self.blocks {
-                    d[b as usize] = rescale(&mut v[b as usize], &factor[r]);
-                }
-            }
-            let region: [&[[f64; L]]; R] = std::array::from_fn(|r| &deltas[origins[r]..][..span]);
-            for &b in self.entries {
-                for r in 0..R {
-                    let d = region[r][b as usize];
-                    for l in 0..L {
-                        rect_change[r][l] += d[l];
-                    }
+                let d = region[r][b as usize];
+                for l in 0..L {
+                    rect_change[r][l] += d[l];
                 }
             }
         }
@@ -1030,6 +970,28 @@ mod tests {
         assert!(m.entries().iter().all(|v| v.is_finite() && *v >= 0.0));
         let total: f64 = m.entries().iter().sum();
         assert!((total - 1.0).abs() < 0.05, "total {total}");
+    }
+
+    #[test]
+    fn observer_that_fits_on_the_same_thread_leaves_the_fit_alone() {
+        // A pass takes the thread's scratch out for its duration, so a fit
+        // run from inside the observer works in a scratch of its own.
+        let c = 16;
+        let gj = uniform_1d(0, 8, c);
+        let gk = uniform_1d(1, 4, c);
+        let gjk = Grid2d::from_freqs((0, 1), 2, c, vec![0.4, 0.1, 0.2, 0.3]).unwrap();
+        let inner_jk = Grid2d::from_freqs((0, 1), 4, c, vec![1.0 / 16.0; 16]).unwrap();
+        let plain = build_response_matrix(&gj, &gk, &gjk, 0.0, 12);
+        let mut inner = Vec::new();
+        let mut obs =
+            |_: usize, _: f64| inner.push(build_response_matrix(&gk, &gj, &inner_jk, 0.0, 3));
+        let nested = build_response_matrix_observed(&gj, &gk, &gjk, 0.0, 12, Some(&mut obs));
+        let bits = |m: &ResponseMatrix| m.entries().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&nested), bits(&plain));
+        assert_eq!(nested.final_change.to_bits(), plain.final_change.to_bits());
+        let alone = build_response_matrix(&gk, &gj, &inner_jk, 0.0, 3);
+        assert_eq!(inner.len(), 12);
+        assert!(inner.iter().all(|m| bits(m) == bits(&alone)));
     }
 
     #[test]

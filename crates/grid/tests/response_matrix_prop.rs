@@ -22,7 +22,7 @@
 
 use privmdr_grid::response_matrix::{
     build_response_matrix, build_response_matrix_observed, build_response_matrix_reference,
-    fit_group, fit_group_portable, GroupScratch, PairFit, ResponseMatrix, GROUP_LANES,
+    fit_group, fit_group_portable, PairFit, ResponseMatrix, GROUP_LANES,
 };
 use privmdr_grid::{Grid1d, Grid2d};
 use proptest::prelude::*;
@@ -320,18 +320,18 @@ fn matches_reference_at_threshold_zero_and_on_early_convergence() {
 type Grids = (Grid1d, Grid1d, Grid2d);
 
 /// One way to run a grouped pass.
-type GroupFit = fn(&mut [PairFit<'_>], f64, usize, &mut GroupScratch) -> Option<()>;
+type GroupFit = fn(&mut [PairFit<'_>], f64, usize) -> Option<()>;
 
 /// The grouped entry points: dispatched, portable, and AVX2 (which
 /// returns `None` on a CPU without it).
 fn group_fits() -> Vec<(&'static str, GroupFit)> {
     let mut fits: Vec<(&'static str, GroupFit)> = vec![
-        ("dispatched", |f, t, m, s| {
-            fit_group(f, t, m, s);
+        ("dispatched", |f, t, m| {
+            fit_group(f, t, m);
             Some(())
         }),
-        ("portable", |f, t, m, s| {
-            fit_group_portable(f, t, m, s);
+        ("portable", |f, t, m| {
+            fit_group_portable(f, t, m);
             Some(())
         }),
     ];
@@ -370,8 +370,7 @@ fn assert_group_matches_reference(
                 g_jk,
             })
             .collect();
-        let mut scratch = GroupScratch::for_group(&fits);
-        if fit(&mut fits, threshold, max_iters, &mut scratch).is_none() {
+        if fit(&mut fits, threshold, max_iters).is_none() {
             continue;
         }
         for (lane, (got, want)) in matrices.iter().zip(&reference).enumerate() {
