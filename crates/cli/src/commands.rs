@@ -173,9 +173,9 @@ fn bench_json_line(
 /// The serve-specific extra JSON fields: the non-default workload λ spec
 /// (part of the record's gate shape — absent for the default mix so the
 /// pre-flag trend history keeps matching) and the estimator telemetry
-/// (per-λ answered-query counts and total Weighted-Update sweeps, flat
-/// string-valued fields so `scripts/bench_lib.sh` field extraction stays
-/// a one-line sed).
+/// (per-λ answered-query counts, total Weighted-Update sweeps and cap
+/// hits, flat string-valued fields so `scripts/bench_lib.sh` field
+/// extraction stays a one-line sed).
 fn serve_extras(lambdas_spec: Option<&str>, telemetry: Option<EstimatorTelemetry>) -> String {
     let mut extras = String::new();
     if let Some(spec) = lambdas_spec {
@@ -189,8 +189,8 @@ fn serve_extras(lambdas_spec: Option<&str>, telemetry: Option<EstimatorTelemetry
             .collect::<Vec<_>>()
             .join(";");
         extras.push_str(&format!(
-            ",\"lambda_counts\":\"{counts}\",\"wu_sweeps\":{}",
-            t.wu_sweeps
+            ",\"lambda_counts\":\"{counts}\",\"wu_sweeps\":{},\"wu_cap_hits\":{}",
+            t.wu_sweeps, t.wu_cap_hits
         ));
     }
     extras
@@ -654,6 +654,7 @@ fn telemetry_delta(
             .filter(|&(_, n)| n > 0)
             .collect(),
         wu_sweeps: after.wu_sweeps - before.wu_sweeps,
+        wu_cap_hits: after.wu_cap_hits - before.wu_cap_hits,
     })
 }
 
@@ -669,8 +670,8 @@ fn telemetry_text(telemetry: Option<EstimatorTelemetry>) -> String {
                 .collect::<Vec<_>>()
                 .join(", ");
             format!(
-                "estimator: {counts} -- {} weighted-update sweeps\n",
-                t.wu_sweeps
+                "estimator: {counts} -- {} weighted-update sweeps, {} capped\n",
+                t.wu_sweeps, t.wu_cap_hits
             )
         }
         None => String::new(),

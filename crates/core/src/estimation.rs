@@ -23,21 +23,31 @@
 //! filtered scan visits it — the f64 accumulation order is unchanged and
 //! the result is **bit-identical**, 4× less work and branch-free.
 //!
-//! # The lane-parallel batch kernel
+//! # The streaming-lane batch kernel
 //!
-//! [`weighted_update_batch`] runs Algorithm 2 for up to [`EST_LANES`]
-//! same-shape queries at once: the z-vectors are transposed into SoA
-//! layout (`zt[mask · LANES + lane]`, one lane per query) and every sweep
-//! updates all lanes with element-wise f64 vector arithmetic — explicit
-//! AVX-512 / AVX2 paths with a portable fallback, dispatched once per
+//! [`weighted_update_batch`] runs Algorithm 2 for a group of same-shape
+//! queries over [`EST_VECTORS`] vectors of [`EST_LANES`] f64 lanes, one
+//! query per lane. Each vector holds its lanes' z-vectors transposed into
+//! SoA layout (`z[mask · EST_LANES + lane]`), and every sweep updates all
+//! lanes with element-wise f64 vector arithmetic — explicit AVX-512 /
+//! AVX2 sweep bodies with a portable fallback, dispatched once per
 //! process through the same feature detection as the OLH support kernel
-//! (`privmdr_util::hash::kernel_backend`). Per-lane convergence masks
-//! freeze finished lanes (a frozen lane's entries are never written
-//! again), so each lane performs exactly the f64 operation sequence the
-//! scalar path would: IEEE-754 lane arithmetic is identical to scalar
-//! arithmetic, hence the batch answers are bit-identical to
-//! [`weighted_update`]'s. `crates/core/tests/estimator_prop.rs` pins all
-//! of this down against the reference at every lane remainder.
+//! (`privmdr_util::hash::kernel_backend`). The vectors in flight are
+//! interleaved inside one sweep, so their subcube sums, divides and
+//! rescales form independent dependency chains.
+//!
+//! The lanes **stream**: each carries its own query and sweep count, and a
+//! lane that converges or reaches `max_iters.max(1)` writes its answer
+//! and sweep count, then takes the next query of the group (its z column
+//! reset to `1/2^λ`, its targets loaded) at the end of the same sweep. A
+//! lane goes idle only when the group is exhausted, and a vector with no
+//! live lane is skipped. Update masks keep idle lanes and the `y == 0`
+//! skip from writing, so each lane performs exactly the f64 operation
+//! sequence the scalar path would for its current query: IEEE-754 lane
+//! arithmetic is identical to scalar arithmetic, hence the answers and
+//! per-query sweep counts are bit-identical to [`weighted_update`]'s.
+//! `crates/core/tests/estimator_prop.rs` pins this down against the
+//! reference across lane remainders, refills and every backend.
 //!
 //! The appendix's Maximum-Entropy alternative constrains all four
 //! sign-combinations per pair (deriving the complements from 1-D answers)
@@ -184,9 +194,16 @@ pub fn estimate_lambda_answer(
     z[(1usize << lambda) - 1]
 }
 
-/// Lane width of the batch estimator: 8 queries per block, one f64 lane
-/// each — one AVX-512 vector, or two AVX2 vectors, per element-wise step.
+/// Lane width of one estimator vector: 8 queries, one f64 lane each — one
+/// AVX-512 vector, or two AVX2 vectors, per element-wise step.
 pub const EST_LANES: usize = 8;
+
+/// Vectors of [`EST_LANES`] lanes the batch estimator keeps in flight.
+/// Two vectors give every pair step two independent dependency chains
+/// (subcube sum, divide, rescale), so one vector's divide overlaps the
+/// other's adds. A fixed property of the kernel, not a setting: the
+/// driver matches on `[u8; EST_VECTORS]` with two-element patterns.
+pub const EST_VECTORS: usize = 2;
 
 /// The result of a [`weighted_update_batch`] run.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,6 +215,10 @@ pub struct BatchEstimate {
     /// converging (or hitting `max_iters`) — identical to the scalar
     /// path's sweep count, for estimator telemetry.
     pub sweeps: Vec<u64>,
+    /// Queries that stopped on the sweep cap `max_iters.max(1)` while
+    /// their last sweep's change was still `>= threshold`: the runs that
+    /// had not converged.
+    pub cap_hits: u64,
 }
 
 /// Lane-parallel Weighted Update over a batch of same-shape queries.
@@ -205,15 +226,16 @@ pub struct BatchEstimate {
 /// All queries share `lambda` and the pair-position list `pairs` (the
 /// planner groups by λ, and `SplitModel` always emits pairs in the same
 /// `i < j` lexicographic order); `fs` holds each query's measured 2-D
-/// answers row-major (`fs[q · pairs.len() + p]`). Queries are processed
-/// in blocks of [`EST_LANES`] lanes; the per-pair subcube index lists are
-/// materialized once per call (they depend only on the `(λ, pair-set)`
-/// shape) and reused by every block and sweep.
+/// answers row-major (`fs[q · pairs.len() + p]`). Queries stream through
+/// [`EST_VECTORS`] `×` [`EST_LANES`] lanes: a lane that finishes takes
+/// the next query at once (see the module docs). The per-pair subcube
+/// index lists are materialized once per call (they depend only on the
+/// `(λ, pair-set)` shape) and reused by every sweep.
 ///
 /// Dispatches to AVX-512/AVX2/portable once per process via
 /// `privmdr_util::hash::kernel_backend()`. Every backend performs the
-/// same per-lane f64 operation sequence, so the answers are
-/// **bit-identical** to running [`weighted_update`] per query.
+/// same per-lane f64 operation sequence, so the answers and sweep counts
+/// are **bit-identical** to running [`weighted_update`] per query.
 pub fn weighted_update_batch(
     lambda: usize,
     pairs: &[(usize, usize)],
@@ -221,10 +243,22 @@ pub fn weighted_update_batch(
     threshold: f64,
     max_iters: usize,
 ) -> BatchEstimate {
-    batch_run(lambda, pairs, fs, threshold, max_iters, dispatch_block)
+    #[cfg(target_arch = "x86_64")]
+    match privmdr_util::hash::kernel_backend() {
+        // SAFETY: each SIMD backend is only ever selected after
+        // `is_x86_feature_detected!` confirmed its features on this CPU.
+        privmdr_util::hash::KernelBackend::Avx512 => {
+            return unsafe { avx512::run(lambda, pairs, fs, threshold, max_iters) }
+        }
+        privmdr_util::hash::KernelBackend::Avx2 => {
+            return unsafe { avx2::run(lambda, pairs, fs, threshold, max_iters) }
+        }
+        privmdr_util::hash::KernelBackend::Portable => {}
+    }
+    weighted_update_batch_portable(lambda, pairs, fs, threshold, max_iters)
 }
 
-/// [`weighted_update_batch`] pinned to the portable lane kernel, exposed
+/// [`weighted_update_batch`] pinned to the portable sweep body, exposed
 /// so the equivalence tests can exercise it even where dispatch picks a
 /// SIMD backend.
 pub fn weighted_update_batch_portable(
@@ -234,11 +268,12 @@ pub fn weighted_update_batch_portable(
     threshold: f64,
     max_iters: usize,
 ) -> BatchEstimate {
-    batch_run(lambda, pairs, fs, threshold, max_iters, wu_block_portable)
+    // SAFETY: the portable sweep body needs no CPU feature.
+    unsafe { stream::<Portable>(lambda, pairs, fs, threshold, max_iters) }
 }
 
-/// [`weighted_update_batch`] pinned to the explicit AVX2 kernel; `None`
-/// when the CPU lacks AVX2.
+/// [`weighted_update_batch`] pinned to the explicit AVX2 sweep body;
+/// `None` when the CPU lacks AVX2.
 #[cfg(target_arch = "x86_64")]
 pub fn weighted_update_batch_avx2(
     lambda: usize,
@@ -248,22 +283,14 @@ pub fn weighted_update_batch_avx2(
     max_iters: usize,
 ) -> Option<BatchEstimate> {
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just verified; the block fn is only
-        // invoked from this dispatch.
-        Some(batch_run(
-            lambda,
-            pairs,
-            fs,
-            threshold,
-            max_iters,
-            |b| unsafe { avx2::wu_block(b) },
-        ))
+        // SAFETY: AVX2 presence was just verified.
+        Some(unsafe { avx2::run(lambda, pairs, fs, threshold, max_iters) })
     } else {
         None
     }
 }
 
-/// [`weighted_update_batch`] pinned to the explicit AVX-512 kernel;
+/// [`weighted_update_batch`] pinned to the explicit AVX-512 sweep body;
 /// `None` when the CPU lacks AVX-512F/DQ.
 #[cfg(target_arch = "x86_64")]
 pub fn weighted_update_batch_avx512(
@@ -277,63 +304,89 @@ pub fn weighted_update_batch_avx512(
         && std::arch::is_x86_feature_detected!("avx512dq")
     {
         // SAFETY: AVX-512F and AVX-512DQ presence was just verified.
-        Some(batch_run(
-            lambda,
-            pairs,
-            fs,
-            threshold,
-            max_iters,
-            |b| unsafe { avx512::wu_block(b) },
-        ))
+        Some(unsafe { avx512::run(lambda, pairs, fs, threshold, max_iters) })
     } else {
         None
     }
 }
 
-/// One block's worth of state, shared by every backend: the per-pair
-/// subcube index lists, the SoA-transposed per-pair answers and z-vector,
-/// and the convergence settings.
-struct WuBlock<'a> {
-    /// Per pair, the `2^{λ−2}` subcube member masks in increasing order.
-    idx: &'a [Vec<u32>],
-    /// Per-pair target answers, SoA: `fsb[p · EST_LANES + lane]`.
-    fsb: &'a [f64],
-    /// Transposed z: `zt[mask · EST_LANES + lane]`, pre-initialized to
-    /// `1 / 2^λ` in every live lane.
-    zt: &'a mut [f64],
-    /// Number of live lanes (1..=EST_LANES); higher lanes are padding.
-    nq: usize,
+/// The lane storage of the streaming driver: up to [`EST_VECTORS`]
+/// vectors of [`EST_LANES`] lanes, each vector one contiguous block. Lane
+/// `v · EST_LANES + l` is lane `l` of vector `v`.
+///
+/// Only [`stream`] builds it, and the SIMD sweep bodies index it without
+/// bounds checks, so its fields keep these invariants: every `idx` entry
+/// is below `2^λ`, `z.len()` is `zlen` times the vectors in flight, and
+/// `f.len()` is `flen` times the same.
+struct Lanes {
+    /// Per pair, its `sub = 2^{λ−2}` subcube member masks in increasing
+    /// order: pair `p` owns `idx[p · sub..(p + 1) · sub]`.
+    idx: Vec<u32>,
+    sub: usize,
+    /// Transposed z: `z[v · zlen + mask · EST_LANES + l]`, with
+    /// `zlen = 2^λ · EST_LANES`.
+    z: Vec<f64>,
+    zlen: usize,
+    /// Per-pair targets: `f[v · flen + p · EST_LANES + l]`, with
+    /// `flen = pairs · EST_LANES`.
+    f: Vec<f64>,
+    flen: usize,
     threshold: f64,
-    max_iters: usize,
-    /// Out: per-lane executed sweep counts.
-    sweeps: [u64; EST_LANES],
 }
 
-/// Dispatched block kernel (the production path of
-/// [`weighted_update_batch`]).
-fn dispatch_block(block: &mut WuBlock<'_>) {
-    #[cfg(target_arch = "x86_64")]
-    match privmdr_util::hash::kernel_backend() {
-        // SAFETY: each SIMD backend is only ever selected after
-        // `is_x86_feature_detected!` confirmed its features on this CPU.
-        privmdr_util::hash::KernelBackend::Avx512 => return unsafe { avx512::wu_block(block) },
-        privmdr_util::hash::KernelBackend::Avx2 => return unsafe { avx2::wu_block(block) },
-        privmdr_util::hash::KernelBackend::Portable => {}
+impl Lanes {
+    /// Starts a query on `lane`: its z column back to the uniform `init`
+    /// and its target column to the query's pair answers.
+    fn load(&mut self, lane: usize, targets: &[f64], init: f64) {
+        const L: usize = EST_LANES;
+        let (v, l) = (lane / L, lane % L);
+        for row in self.z[v * self.zlen..][..self.zlen].chunks_exact_mut(L) {
+            row[l] = init;
+        }
+        for (row, &t) in self.f[v * self.flen..][..self.flen]
+            .chunks_exact_mut(L)
+            .zip(targets)
+        {
+            row[l] = t;
+        }
     }
-    wu_block_portable(block)
 }
 
-/// The backend-independent batch driver: validates the shape, builds the
-/// per-pair subcube index lists once, and runs `block_fn` over each
-/// [`EST_LANES`]-lane block of queries.
-fn batch_run(
+/// The one part of the streaming driver each backend supplies.
+trait SweepBody {
+    /// Runs one Weighted-Update sweep over the `NV` vectors `vecs` of
+    /// `lanes`, writing only the lanes set in `active[k]`, and returns
+    /// per vector the lanes of `active[k]` whose sweep change is still
+    /// `>= lanes.threshold`.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU supports the backend's target features, and every
+    /// `vecs[k]` is a vector in flight in `lanes`.
+    unsafe fn sweep<const NV: usize>(
+        lanes: &mut Lanes,
+        vecs: [usize; NV],
+        active: [u8; NV],
+    ) -> [u8; NV];
+}
+
+/// The streaming-lane driver shared by every backend: validates the
+/// shape, builds the subcube index lists once, and streams the queries
+/// through the lanes, one [`SweepBody::sweep`] per step over the vectors
+/// that still hold a live lane.
+///
+/// # Safety
+///
+/// The running CPU supports `K`'s target features.
+#[inline(always)]
+unsafe fn stream<K: SweepBody>(
     lambda: usize,
     pairs: &[(usize, usize)],
     fs: &[f64],
     threshold: f64,
     max_iters: usize,
-    mut block_fn: impl FnMut(&mut WuBlock<'_>),
 ) -> BatchEstimate {
+    const L: usize = EST_LANES;
     assert!((2..=20).contains(&lambda), "lambda out of range");
     assert!(!pairs.is_empty(), "batch needs at least one pair per query");
     assert!(
@@ -344,119 +397,186 @@ fn batch_run(
     let n = fs.len() / npairs;
     let size = 1usize << lambda;
     let full = size - 1;
+    let sub = 1usize << (lambda - 2);
 
     // Per-pair subcube index lists, increasing order — computed once per
-    // (λ, pair-set) shape and reused by every block and sweep.
-    let idx: Vec<Vec<u32>> = pairs
-        .iter()
-        .map(|&(i, j)| {
-            assert!(i < lambda && j < lambda, "pair position out of range");
-            let both = (1usize << i) | (1usize << j);
-            let free = full ^ both;
-            let mut members = Vec::with_capacity(1usize << (lambda - 2));
-            let mut s = 0usize;
-            loop {
-                members.push((both | s) as u32);
-                s = s.wrapping_sub(free) & free;
-                if s == 0 {
-                    break;
-                }
+    // (λ, pair-set) shape and reused by every sweep.
+    let mut idx = Vec::with_capacity(npairs * sub);
+    for &(i, j) in pairs {
+        assert!(i < lambda && j < lambda, "pair position out of range");
+        let both = (1usize << i) | (1usize << j);
+        let free = full ^ both;
+        let mut s = 0usize;
+        loop {
+            idx.push((both | s) as u32);
+            s = s.wrapping_sub(free) & free;
+            if s == 0 {
+                break;
             }
-            members
-        })
-        .collect();
-
-    let mut answers = Vec::with_capacity(n);
-    let mut sweeps = Vec::with_capacity(n);
-    let mut zt = vec![0.0f64; size * EST_LANES];
-    let mut fsb = vec![0.0f64; npairs * EST_LANES];
-    let init = 1.0 / size as f64;
-    for block_start in (0..n).step_by(EST_LANES) {
-        let nq = EST_LANES.min(n - block_start);
-        zt.fill(init);
-        // Transpose this block's pair answers to SoA; padding lanes get
-        // 0.0 targets but are masked off from the first sweep anyway.
-        fsb.fill(0.0);
-        for (lane, q) in (block_start..block_start + nq).enumerate() {
-            for p in 0..npairs {
-                fsb[p * EST_LANES + lane] = fs[q * npairs + p];
-            }
-        }
-        let mut block = WuBlock {
-            idx: &idx,
-            fsb: &fsb,
-            zt: &mut zt,
-            nq,
-            threshold,
-            max_iters,
-            sweeps: [0; EST_LANES],
-        };
-        block_fn(&mut block);
-        let block_sweeps = block.sweeps;
-        for lane in 0..nq {
-            answers.push(zt[full * EST_LANES + lane]);
-            sweeps.push(block_sweeps[lane]);
         }
     }
-    BatchEstimate { answers, sweeps }
-}
 
-/// Portable lane kernel: fixed [`EST_LANES`]-wide array sweeps written for
-/// autovectorization. Each lane replays the scalar op sequence exactly
-/// (same subcube order, same mul/div/add/abs), with a per-lane update
-/// mask standing in for the scalar `y == 0` skip and convergence exit.
-fn wu_block_portable(block: &mut WuBlock<'_>) {
-    const L: usize = EST_LANES;
-    let mut active = [false; L];
-    active[..block.nq].iter_mut().for_each(|a| *a = true);
-    let mut sweep = 0usize;
-    while sweep < block.max_iters.max(1) && active.iter().any(|&a| a) {
-        let mut change = [0.0f64; L];
-        for (masks, f) in block.idx.iter().zip(block.fsb.chunks_exact(L)) {
-            let mut y = [0.0f64; L];
-            for &m in masks {
-                let row = &block.zt[m as usize * L..m as usize * L + L];
-                for l in 0..L {
-                    y[l] += row[l];
+    let init = 1.0 / size as f64;
+    let mut answers = vec![init; n];
+    let mut sweeps = vec![0u64; n];
+    let mut cap_hits = 0u64;
+    // The scalar loop runs while `change >= threshold` with the change
+    // starting at infinity, so a NaN threshold runs no sweep at all and
+    // every answer stays `init`: start no lane then. A group of at most
+    // EST_LANES queries takes one vector.
+    let nv = if f64::INFINITY >= threshold {
+        n.div_ceil(L).min(EST_VECTORS)
+    } else {
+        0
+    };
+    let mut lanes = Lanes {
+        idx,
+        sub,
+        z: vec![init; nv * size * L],
+        zlen: size * L,
+        f: vec![0.0; nv * npairs * L],
+        flen: npairs * L,
+        threshold,
+    };
+    // Per lane: the query it holds and the sweep count when it took it.
+    let mut query = [0usize; EST_VECTORS * L];
+    let mut start = [0u64; EST_VECTORS * L];
+    let mut active = [0u8; EST_VECTORS];
+    let mut next = n.min(nv * L);
+    for (lane, q) in (0..next).enumerate() {
+        lanes.load(lane, &fs[q * npairs..][..npairs], init);
+        query[lane] = q;
+        active[lane / L] |= 1 << (lane % L);
+    }
+
+    let cap = max_iters.max(1) as u64;
+    let mut sweep = 0u64;
+    // A lower bound on the sweep at which some live lane reaches the cap,
+    // so the per-lane cap check runs only on sweeps that may need it.
+    let mut due = cap;
+    loop {
+        // SAFETY: the caller vouches for K's features; vector 1 is only
+        // live when two vectors are in flight.
+        let keep = match active {
+            [0, 0] => break,
+            [a, 0] => [unsafe { K::sweep(&mut lanes, [0], [a]) }[0], 0],
+            [0, a] => [0, unsafe { K::sweep(&mut lanes, [1], [a]) }[0]],
+            both => unsafe { K::sweep(&mut lanes, [0, 1], both) },
+        };
+        sweep += 1;
+        let mut done = [active[0] & !keep[0], active[1] & !keep[1]];
+        if sweep >= due {
+            due = u64::MAX;
+            for (lane, &began) in start.iter().enumerate() {
+                let (v, bit) = (lane / L, 1u8 << (lane % L));
+                if active[v] & bit == 0 {
+                    continue;
+                }
+                let deadline = began + cap;
+                if deadline <= sweep {
+                    done[v] |= bit;
+                    if keep[v] & bit != 0 {
+                        cap_hits += 1;
+                    }
+                } else {
+                    due = due.min(deadline);
                 }
             }
-            // The scalar path skips the pair when y == 0 (and a frozen
-            // lane must not move at all): mask the store and the change
+        }
+        for v in 0..EST_VECTORS {
+            let mut bits = done[v];
+            while bits != 0 {
+                let l = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let lane = v * L + l;
+                let q = query[lane];
+                answers[q] = lanes.z[v * lanes.zlen + full * L + l];
+                sweeps[q] = sweep - start[lane];
+                if next < n {
+                    lanes.load(lane, &fs[next * npairs..][..npairs], init);
+                    query[lane] = next;
+                    start[lane] = sweep;
+                    next += 1;
+                    due = due.min(sweep + cap);
+                } else {
+                    active[v] &= !(1 << l);
+                }
+            }
+        }
+    }
+    BatchEstimate {
+        answers,
+        sweeps,
+        cap_hits,
+    }
+}
+
+/// Portable sweep body: fixed [`EST_LANES`]-wide array steps written for
+/// autovectorization. Each lane replays the scalar op sequence exactly
+/// (same subcube order, same mul/div/add/abs), with a per-lane update
+/// mask standing in for the scalar `y == 0` skip and for idle lanes.
+struct Portable;
+
+impl SweepBody for Portable {
+    #[inline(always)]
+    unsafe fn sweep<const NV: usize>(
+        lanes: &mut Lanes,
+        vecs: [usize; NV],
+        active: [u8; NV],
+    ) -> [u8; NV] {
+        const L: usize = EST_LANES;
+        let mut change = [[0.0f64; L]; NV];
+        for (p, masks) in lanes.idx.chunks_exact(lanes.sub).enumerate() {
+            let mut y = [[0.0f64; L]; NV];
+            for &m in masks {
+                for k in 0..NV {
+                    let row = &lanes.z[vecs[k] * lanes.zlen + m as usize * L..][..L];
+                    for l in 0..L {
+                        y[k][l] += row[l];
+                    }
+                }
+            }
+            // The scalar path skips the pair when y == 0 (and an idle lane
+            // must not move at all): mask the store and the change
             // accumulation per lane.
-            let mut upd = [false; L];
-            let mut factor = [0.0f64; L];
-            for l in 0..L {
-                upd[l] = active[l] && y[l] != 0.0;
-                factor[l] = f[l] / y[l];
+            let mut upd = [[false; L]; NV];
+            let mut factor = [[0.0f64; L]; NV];
+            for k in 0..NV {
+                let f = &lanes.f[vecs[k] * lanes.flen + p * L..][..L];
+                for l in 0..L {
+                    upd[k][l] = active[k] >> l & 1 != 0 && y[k][l] != 0.0;
+                    factor[k][l] = f[l] / y[k][l];
+                }
             }
             for &m in masks {
-                let row = &mut block.zt[m as usize * L..m as usize * L + L];
-                for l in 0..L {
-                    if upd[l] {
-                        let new = row[l] * factor[l];
-                        change[l] += (new - row[l]).abs();
-                        row[l] = new;
+                for k in 0..NV {
+                    let row = &mut lanes.z[vecs[k] * lanes.zlen + m as usize * L..][..L];
+                    for l in 0..L {
+                        if upd[k][l] {
+                            let new = row[l] * factor[k][l];
+                            change[k][l] += (new - row[l]).abs();
+                            row[l] = new;
+                        }
                     }
                 }
             }
         }
-        sweep += 1;
-        for l in 0..L {
-            if active[l] {
-                block.sweeps[l] += 1;
-                // NaN-safe freeze: the scalar loop continues only while
-                // `change >= threshold`, so freeze on the negation —
-                // `change < threshold` would differ for a NaN change.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(change[l] >= block.threshold) {
-                    active[l] = false;
+        // `>=` is false for a NaN change, which stops the lane exactly as
+        // the scalar loop's `change >= threshold` test does.
+        let mut keep = [0u8; NV];
+        for (k, change) in change.iter().enumerate() {
+            for (l, &c) in change.iter().enumerate() {
+                if c >= lanes.threshold {
+                    keep[k] |= 1 << l;
                 }
             }
+            keep[k] &= active[k];
         }
+        keep
     }
 }
 
-/// Explicit AVX2 batch kernel: the 8 lanes as two 256-bit vectors of f64.
+/// Explicit AVX2 sweep body: each vector as two 256-bit halves of f64.
 ///
 /// All arithmetic is element-wise IEEE-754 (`vaddpd`/`vmulpd`/`vdivpd`,
 /// abs as a sign-bit clear), so each lane computes bit-for-bit the scalar
@@ -466,134 +586,186 @@ fn wu_block_portable(block: &mut WuBlock<'_>) {
 /// move a non-negative change accumulator.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{WuBlock, EST_LANES};
+    use super::{BatchEstimate, Lanes, SweepBody, EST_LANES};
     use core::arch::x86_64::*;
 
+    /// [`super::stream`] over the AVX2 sweep body.
+    ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 support on the running CPU.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn wu_block(block: &mut WuBlock<'_>) {
-        const L: usize = EST_LANES;
-        let thr = _mm256_set1_pd(block.threshold);
-        let zero = _mm256_setzero_pd();
-        let absmask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
-        // Live-lane masks: all-ones for lanes < nq.
-        let lane_live = |base: usize| {
-            let mut m = [0i64; 4];
-            for (l, v) in m.iter_mut().enumerate() {
-                *v = if base + l < block.nq { -1 } else { 0 };
+    pub(super) unsafe fn run(
+        lambda: usize,
+        pairs: &[(usize, usize)],
+        fs: &[f64],
+        threshold: f64,
+        max_iters: usize,
+    ) -> BatchEstimate {
+        super::stream::<Avx2>(lambda, pairs, fs, threshold, max_iters)
+    }
+
+    struct Avx2;
+
+    impl SweepBody for Avx2 {
+        #[inline(always)]
+        unsafe fn sweep<const NV: usize>(
+            lanes: &mut Lanes,
+            vecs: [usize; NV],
+            active: [u8; NV],
+        ) -> [u8; NV] {
+            const L: usize = EST_LANES;
+            let zero = _mm256_setzero_pd();
+            let absmask = _mm256_castsi256_pd(_mm256_set1_epi64x(i64::MAX));
+            let bits = _mm256_setr_epi64x(1, 2, 4, 8);
+            let mut zp = [lanes.z.as_mut_ptr(); NV];
+            let mut fp = [lanes.f.as_ptr(); NV];
+            // Live-lane masks: all-ones for the lanes set in `active`.
+            let mut live = [[zero; 2]; NV];
+            for k in 0..NV {
+                zp[k] = zp[k].add(vecs[k] * lanes.zlen);
+                fp[k] = fp[k].add(vecs[k] * lanes.flen);
+                for (h, live) in live[k].iter_mut().enumerate() {
+                    let b = _mm256_set1_epi64x(i64::from(active[k] >> (4 * h)));
+                    *live =
+                        _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(b, bits), bits));
+                }
             }
-            _mm256_castsi256_pd(_mm256_setr_epi64x(m[0], m[1], m[2], m[3]))
-        };
-        let mut active = [lane_live(0), lane_live(4)];
-        let mut sweep = 0usize;
-        while sweep < block.max_iters.max(1)
-            && (_mm256_movemask_pd(active[0]) | _mm256_movemask_pd(active[1])) != 0
-        {
-            let mut change = [zero, zero];
-            for (masks, f) in block.idx.iter().zip(block.fsb.chunks_exact(L)) {
-                let fv = [
-                    _mm256_loadu_pd(f.as_ptr()),
-                    _mm256_loadu_pd(f.as_ptr().add(4)),
-                ];
-                let mut y = [zero, zero];
+            let mut change = [[zero; 2]; NV];
+            for (p, masks) in lanes.idx.chunks_exact(lanes.sub).enumerate() {
+                let mut y = [[zero; 2]; NV];
                 for &m in masks {
-                    let row = block.zt.as_ptr().add(m as usize * L);
-                    y[0] = _mm256_add_pd(y[0], _mm256_loadu_pd(row));
-                    y[1] = _mm256_add_pd(y[1], _mm256_loadu_pd(row.add(4)));
+                    for k in 0..NV {
+                        let row = zp[k].add(m as usize * L);
+                        y[k][0] = _mm256_add_pd(y[k][0], _mm256_loadu_pd(row));
+                        y[k][1] = _mm256_add_pd(y[k][1], _mm256_loadu_pd(row.add(4)));
+                    }
                 }
-                let mut upd = [zero, zero];
-                let mut factor = [zero, zero];
-                for h in 0..2 {
-                    // NEQ_UQ: NaN y counts as != 0, matching the scalar
-                    // `y == 0.0` skip condition's negation.
-                    upd[h] = _mm256_and_pd(active[h], _mm256_cmp_pd::<_CMP_NEQ_UQ>(y[h], zero));
-                    factor[h] = _mm256_div_pd(fv[h], y[h]);
-                }
-                for &m in masks {
-                    let row = block.zt.as_mut_ptr().add(m as usize * L);
+                let mut upd = [[zero; 2]; NV];
+                let mut factor = [[zero; 2]; NV];
+                for k in 0..NV {
                     for h in 0..2 {
-                        let old = _mm256_loadu_pd(row.add(h * 4));
-                        let new = _mm256_blendv_pd(old, _mm256_mul_pd(old, factor[h]), upd[h]);
-                        let diff =
-                            _mm256_and_pd(_mm256_and_pd(_mm256_sub_pd(new, old), absmask), upd[h]);
-                        change[h] = _mm256_add_pd(change[h], diff);
-                        _mm256_storeu_pd(row.add(h * 4), new);
+                        // NEQ_UQ: NaN y counts as != 0, matching the
+                        // scalar `y == 0.0` skip condition's negation.
+                        upd[k][h] =
+                            _mm256_and_pd(live[k][h], _mm256_cmp_pd::<_CMP_NEQ_UQ>(y[k][h], zero));
+                        let fv = _mm256_loadu_pd(fp[k].add(p * L + 4 * h));
+                        factor[k][h] = _mm256_div_pd(fv, y[k][h]);
+                    }
+                }
+                for &m in masks {
+                    for k in 0..NV {
+                        let row = zp[k].add(m as usize * L);
+                        for h in 0..2 {
+                            let old = _mm256_loadu_pd(row.add(4 * h));
+                            let new =
+                                _mm256_blendv_pd(old, _mm256_mul_pd(old, factor[k][h]), upd[k][h]);
+                            let diff = _mm256_and_pd(
+                                _mm256_and_pd(_mm256_sub_pd(new, old), absmask),
+                                upd[k][h],
+                            );
+                            change[k][h] = _mm256_add_pd(change[k][h], diff);
+                            _mm256_storeu_pd(row.add(4 * h), new);
+                        }
                     }
                 }
             }
-            sweep += 1;
-            for h in 0..2 {
-                let live = _mm256_movemask_pd(active[h]);
-                for l in 0..4 {
-                    if live & (1 << l) != 0 {
-                        block.sweeps[h * 4 + l] += 1;
-                    }
+            // GE_OQ is false for a NaN change: the lane stops, as in the
+            // scalar loop.
+            let thr = _mm256_set1_pd(lanes.threshold);
+            let mut keep = [0u8; NV];
+            for k in 0..NV {
+                for (h, (&live, &change)) in live[k].iter().zip(&change[k]).enumerate() {
+                    let go = _mm256_and_pd(live, _mm256_cmp_pd::<_CMP_GE_OQ>(change, thr));
+                    keep[k] |= (_mm256_movemask_pd(go) as u8) << (4 * h);
                 }
-                // GE_OQ is false for NaN change — the NaN-safe freeze.
-                active[h] = _mm256_and_pd(active[h], _mm256_cmp_pd::<_CMP_GE_OQ>(change[h], thr));
             }
+            keep
         }
     }
 }
 
-/// Explicit AVX-512 batch kernel: the 8 lanes as one 512-bit vector of
-/// f64, with update/convergence masks in `__mmask8` registers and masked
+/// Explicit AVX-512 sweep body: each vector as one 512-bit vector of f64,
+/// with update/convergence masks in `__mmask8` registers and masked
 /// multiply/add doing the blending in one instruction.
 ///
-/// Same bit-identity argument as the AVX2 path: element-wise IEEE-754
+/// Same bit-identity argument as the AVX2 body: element-wise IEEE-754
 /// arithmetic per lane, masked lanes keep their old value and contribute
 /// nothing to the change accumulator.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{WuBlock, EST_LANES};
+    use super::{BatchEstimate, Lanes, SweepBody, EST_LANES};
     use core::arch::x86_64::*;
 
+    /// [`super::stream`] over the AVX-512 sweep body.
+    ///
     /// # Safety
     ///
     /// The caller must have verified AVX-512F and AVX-512DQ support on
     /// the running CPU.
     #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn wu_block(block: &mut WuBlock<'_>) {
-        const L: usize = EST_LANES;
-        let thr = _mm512_set1_pd(block.threshold);
-        let zero = _mm512_setzero_pd();
-        let mut active: __mmask8 = if block.nq >= 8 {
-            0xFF
-        } else {
-            (1u8 << block.nq) - 1
-        };
-        let mut sweep = 0usize;
-        while sweep < block.max_iters.max(1) && active != 0 {
-            let mut change = zero;
-            for (masks, f) in block.idx.iter().zip(block.fsb.chunks_exact(L)) {
-                let fv = _mm512_loadu_pd(f.as_ptr());
-                let mut y = zero;
+    pub(super) unsafe fn run(
+        lambda: usize,
+        pairs: &[(usize, usize)],
+        fs: &[f64],
+        threshold: f64,
+        max_iters: usize,
+    ) -> BatchEstimate {
+        super::stream::<Avx512>(lambda, pairs, fs, threshold, max_iters)
+    }
+
+    struct Avx512;
+
+    impl SweepBody for Avx512 {
+        #[inline(always)]
+        unsafe fn sweep<const NV: usize>(
+            lanes: &mut Lanes,
+            vecs: [usize; NV],
+            active: [u8; NV],
+        ) -> [u8; NV] {
+            const L: usize = EST_LANES;
+            let zero = _mm512_setzero_pd();
+            let mut zp = [lanes.z.as_mut_ptr(); NV];
+            let mut fp = [lanes.f.as_ptr(); NV];
+            for k in 0..NV {
+                zp[k] = zp[k].add(vecs[k] * lanes.zlen);
+                fp[k] = fp[k].add(vecs[k] * lanes.flen);
+            }
+            let mut change = [zero; NV];
+            for (p, masks) in lanes.idx.chunks_exact(lanes.sub).enumerate() {
+                let mut y = [zero; NV];
                 for &m in masks {
-                    y = _mm512_add_pd(y, _mm512_loadu_pd(block.zt.as_ptr().add(m as usize * L)));
+                    for k in 0..NV {
+                        y[k] = _mm512_add_pd(y[k], _mm512_loadu_pd(zp[k].add(m as usize * L)));
+                    }
                 }
-                // NEQ_UQ: NaN y counts as != 0 (scalar skip negated).
-                let upd = active & _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(y, zero);
-                let factor = _mm512_div_pd(fv, y);
+                let mut upd = [0u8; NV];
+                let mut factor = [zero; NV];
+                for k in 0..NV {
+                    // NEQ_UQ: NaN y counts as != 0 (scalar skip negated).
+                    upd[k] = active[k] & _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(y[k], zero);
+                    factor[k] = _mm512_div_pd(_mm512_loadu_pd(fp[k].add(p * L)), y[k]);
+                }
                 for &m in masks {
-                    let row = block.zt.as_mut_ptr().add(m as usize * L);
-                    let old = _mm512_loadu_pd(row);
-                    // Masked multiply: frozen / y==0 lanes keep `old`.
-                    let new = _mm512_mask_mul_pd(old, upd, old, factor);
-                    let diff = _mm512_abs_pd(_mm512_sub_pd(new, old));
-                    change = _mm512_mask_add_pd(change, upd, change, diff);
-                    _mm512_storeu_pd(row, new);
+                    for k in 0..NV {
+                        let row = zp[k].add(m as usize * L);
+                        let old = _mm512_loadu_pd(row);
+                        // Masked multiply: idle / y==0 lanes keep `old`.
+                        let new = _mm512_mask_mul_pd(old, upd[k], old, factor[k]);
+                        let diff = _mm512_abs_pd(_mm512_sub_pd(new, old));
+                        change[k] = _mm512_mask_add_pd(change[k], upd[k], change[k], diff);
+                        _mm512_storeu_pd(row, new);
+                    }
                 }
             }
-            sweep += 1;
-            for l in 0..L {
-                if active & (1 << l) != 0 {
-                    block.sweeps[l] += 1;
-                }
+            // GE_OQ is false for a NaN change: the lane stops, as in the
+            // scalar loop.
+            let thr = _mm512_set1_pd(lanes.threshold);
+            let mut keep = [0u8; NV];
+            for k in 0..NV {
+                keep[k] = active[k] & _mm512_cmp_pd_mask::<_CMP_GE_OQ>(change[k], thr);
             }
-            // GE_OQ is false for NaN change — the NaN-safe freeze.
-            active &= _mm512_cmp_pd_mask::<_CMP_GE_OQ>(change, thr);
+            keep
         }
     }
 }
@@ -762,7 +934,7 @@ mod tests {
         let pair_pos: Vec<(usize, usize)> = (0..lambda)
             .flat_map(|i| ((i + 1)..lambda).map(move |j| (i, j)))
             .collect();
-        // 11 queries: every lane remainder of one full block plus change.
+        // 11 queries: one full vector plus a partial second one.
         let mut fs = Vec::new();
         let mut scalar = Vec::new();
         for q in 0..11usize {

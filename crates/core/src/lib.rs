@@ -93,11 +93,12 @@ impl From<privmdr_hierarchy::HierarchyError> for MechanismError {
 }
 
 /// A snapshot of a model's estimator counters: how many queries were
-/// answered per λ, and how many Weighted-Update sweeps (Algorithm 2
-/// iterations) they cost in total. Serving benchmarks record this next to
-/// queries/sec so throughput figures are comparable across workload
-/// mixes — a λ=3-heavy workload legitimately runs orders of magnitude
-/// more estimator work per query than a 1-D one.
+/// answered per λ, how many Weighted-Update sweeps (Algorithm 2
+/// iterations) they cost in total, and how many of those runs stopped on
+/// the sweep cap instead of converging. Serving benchmarks record this
+/// next to queries/sec so throughput figures are comparable across
+/// workload mixes — a λ=3-heavy workload legitimately runs orders of
+/// magnitude more estimator work per query than a 1-D one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EstimatorTelemetry {
     /// `(lambda, queries answered)` pairs, ascending λ, zero counts
@@ -105,6 +106,10 @@ pub struct EstimatorTelemetry {
     pub lambda_counts: Vec<(usize, u64)>,
     /// Total Weighted-Update sweeps executed across all λ ≥ 3 answers.
     pub wu_sweeps: u64,
+    /// Weighted-Update runs that stopped on `est_max_iters` while the last
+    /// sweep's change was still `>= est_threshold`: answers that had not
+    /// converged.
+    pub wu_cap_hits: u64,
 }
 
 /// A fitted mechanism: answers arbitrary range queries without further

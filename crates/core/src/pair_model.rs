@@ -50,11 +50,13 @@ pub struct SplitModel<A> {
     est_threshold: f64,
     est_max_iters: usize,
     /// Per-λ answered-query counters (relaxed atomics: counters only, no
-    /// ordering dependencies) plus total Weighted-Update sweeps. Batches
-    /// count locally and add once per batch, so concurrent shards touch
-    /// the shared counters a few times per batch, not once per query.
+    /// ordering dependencies) plus total Weighted-Update sweeps and cap
+    /// hits. Batches count locally and add once per batch, so concurrent
+    /// shards touch the shared counters a few times per batch, not once
+    /// per query.
     lambda_counts: Vec<AtomicU64>,
     wu_sweeps: AtomicU64,
+    wu_cap_hits: AtomicU64,
 }
 
 impl<A: PairAnswerer> SplitModel<A> {
@@ -69,6 +71,7 @@ impl<A: PairAnswerer> SplitModel<A> {
                 .take(TELEMETRY_LAMBDA_CAP + 1)
                 .collect(),
             wu_sweeps: AtomicU64::new(0),
+            wu_cap_hits: AtomicU64::new(0),
         }
     }
 
@@ -118,8 +121,8 @@ impl<A: PairAnswerer> Model for SplitModel<A> {
                 let pairs = self.pair_answers(query);
                 match self.estimator {
                     EstimatorKind::WeightedUpdate => {
-                        let mut sweeps = 0usize;
-                        let mut obs = |s: usize, _: f64| sweeps = s;
+                        let (mut sweeps, mut change) = (0usize, f64::INFINITY);
+                        let mut obs = |s: usize, ch: f64| (sweeps, change) = (s, ch);
                         let z = weighted_update_observed(
                             lambda,
                             &pairs,
@@ -128,6 +131,9 @@ impl<A: PairAnswerer> Model for SplitModel<A> {
                             Some(&mut obs),
                         );
                         self.wu_sweeps.fetch_add(sweeps as u64, Ordering::Relaxed);
+                        if sweeps == self.est_max_iters.max(1) && change >= self.est_threshold {
+                            self.wu_cap_hits.fetch_add(1, Ordering::Relaxed);
+                        }
                         z[(1usize << lambda) - 1]
                     }
                     EstimatorKind::MaxEntropy => {
@@ -162,9 +168,8 @@ impl<A: PairAnswerer> Model for SplitModel<A> {
     ///    [`PairAnswerer::answer_2d_batch`], so per-pair state (response
     ///    matrix, prefix sums) is fetched once per pair instead of once
     ///    per rectangle.
-    /// 2. λ≥3 Weighted-Update queries are grouped by λ and fed to the
-    ///    lane-parallel [`weighted_update_batch`] kernel, up to
-    ///    `EST_LANES` queries per SIMD block.
+    /// 2. λ≥3 Weighted-Update queries are grouped by λ and each group is
+    ///    streamed through the lanes of [`weighted_update_batch`].
     /// 3. Answers scatter back to their original batch positions.
     ///
     /// Every rectangle gets the same arguments and every estimator run
@@ -282,6 +287,10 @@ impl<A: PairAnswerer> Model for SplitModel<A> {
             }
             self.wu_sweeps
                 .fetch_add(batch.sweeps.iter().sum::<u64>(), Ordering::Relaxed);
+            if batch.cap_hits > 0 {
+                self.wu_cap_hits
+                    .fetch_add(batch.cap_hits, Ordering::Relaxed);
+            }
         }
         answers
     }
@@ -296,6 +305,7 @@ impl<A: PairAnswerer> Model for SplitModel<A> {
                 .filter(|&(_, n)| n > 0)
                 .collect(),
             wu_sweeps: self.wu_sweeps.load(Ordering::Relaxed),
+            wu_cap_hits: self.wu_cap_hits.load(Ordering::Relaxed),
         })
     }
 }
@@ -363,6 +373,43 @@ mod tests {
         let q = RangeQuery::from_triples(&[(0, 0, 3), (1, 0, 3), (3, 0, 3)], 8).unwrap();
         let est = m.answer(&q);
         assert!((est - 0.125).abs() < 0.01, "est {est}");
+    }
+
+    #[test]
+    fn cap_hits_count_unconverged_weighted_update_runs() {
+        // A two-sweep cap with a near-zero threshold: half-domain
+        // intervals meet the uniform start at once (one sweep, no cap
+        // hit); the uneven ones are still moving when the cap stops them.
+        let cfg = MechanismConfig {
+            est_threshold: 1e-12,
+            est_max_iters: 2,
+            ..MechanismConfig::default()
+        };
+        let answerer = || ProductAnswerer {
+            c: 8,
+            marginals: vec![vec![1.0 / 8.0; 8]; 4],
+        };
+        let qs: Vec<RangeQuery> = [
+            &[(0, 0, 3), (1, 4, 7), (2, 0, 3)][..],
+            &[(0, 0, 3), (1, 0, 3), (2, 4, 7), (3, 0, 3)],
+            &[(0, 0, 0), (1, 0, 1), (2, 0, 6)],
+            &[(0, 1, 2), (2, 0, 4), (3, 5, 7)],
+            &[(0, 0, 1), (1, 2, 6), (2, 3, 3), (3, 0, 5)],
+            &[(0, 0, 0)],
+        ]
+        .iter()
+        .map(|t| RangeQuery::from_triples(t, 8).unwrap())
+        .collect();
+        let batched = SplitModel::new(answerer(), &cfg);
+        let _ = batched.answer_all(&qs);
+        let one_by_one = SplitModel::new(answerer(), &cfg);
+        for q in &qs {
+            let _ = one_by_one.answer(q);
+        }
+        let t = batched.estimator_telemetry().unwrap();
+        assert_eq!(t.wu_cap_hits, 3);
+        assert_eq!(t.wu_sweeps, 1 + 1 + 3 * 2);
+        assert_eq!(one_by_one.estimator_telemetry().unwrap(), t);
     }
 
     #[test]

@@ -1,28 +1,34 @@
-//! Bit-identity of the optimized Weighted-Update paths (ISSUE 10).
+//! Bit-identity of the optimized Weighted-Update paths.
 //!
 //! [`weighted_update_reference`] is the textbook Algorithm 2: a filtered
 //! scan over all `2^λ` z-entries per pair. Both production paths — the
 //! scalar subcube enumeration behind [`weighted_update`] and the
-//! lane-parallel [`weighted_update_batch`] kernel behind the batch query
-//! planner — must reproduce it **bit for bit**, in answers and in sweep
-//! counts, or the repo-wide determinism contract (golden suites, sharded
-//! ≡ serial, replicas answering identically) silently breaks.
+//! streaming-lane [`weighted_update_batch`] kernel behind the batch query
+//! planner — must reproduce it **bit for bit**, in answers, sweep counts
+//! and cap hits, or the repo-wide determinism contract (golden suites,
+//! sharded ≡ serial, replicas answering identically) silently breaks.
 //!
-//! The sweep here covers: λ from 2 through 8, every lane remainder of the
-//! 8-wide blocks (batch sizes 1..=17), lanes that converge at different
-//! sweep counts sharing one block, the `y == 0` skip path, and the
-//! explicit portable/AVX2/AVX-512 kernel entry points (SIMD ones where
+//! The sweep here covers: λ from 2 through 8; every batch size up to one
+//! past the lanes in flight (1..=2·EST_VECTORS·EST_LANES+1), so lanes
+//! refill and vectors drain at every remainder; cap-bound lanes beside
+//! lanes that converge in one sweep, so refills happen mid-run and
+//! answers land out of order; the `y == 0` skip path; threshold 0, NaN
+//! thresholds and the `max_iters = 0` floor. Each case runs through the
+//! dispatched, portable, AVX2 and AVX-512 entry points (SIMD ones where
 //! the CPU has them). Runs in both debug and release in CI.
 
 use privmdr_core::estimation::{
-    estimate_lambda_answer, weighted_update, weighted_update_batch, weighted_update_batch_portable,
+    weighted_update, weighted_update_batch, weighted_update_batch_portable,
     weighted_update_observed, weighted_update_reference, BatchEstimate, PairAnswer, EST_LANES,
+    EST_VECTORS,
 };
 #[cfg(target_arch = "x86_64")]
 use privmdr_core::estimation::{weighted_update_batch_avx2, weighted_update_batch_avx512};
 
 const THRESHOLD: f64 = 1e-9;
 const MAX_ITERS: usize = 100;
+/// Lanes the batch kernel keeps in flight.
+const IN_FLIGHT: usize = EST_VECTORS * EST_LANES;
 
 /// Deterministic pseudo-random f64 in (0, 1) without pulling in an RNG:
 /// splitmix-style avalanche of the call-site coordinates.
@@ -73,14 +79,6 @@ fn to_pair_answers(pairs: &[(usize, usize)], fs: &[f64]) -> Vec<PairAnswer> {
         .collect()
 }
 
-/// Scalar sweep count for one query, via the observer.
-fn scalar_sweeps(lambda: usize, pa: &[PairAnswer]) -> u64 {
-    let mut sweeps = 0usize;
-    let mut obs = |s: usize, _: f64| sweeps = s;
-    let _ = weighted_update_observed(lambda, pa, THRESHOLD, MAX_ITERS, Some(&mut obs));
-    sweeps as u64
-}
-
 #[test]
 fn subcube_enumeration_matches_reference_bit_for_bit() {
     for lambda in 2..=8usize {
@@ -125,12 +123,54 @@ fn subcube_enumeration_matches_reference_on_sparse_pair_sets() {
     }
 }
 
+/// The scalar path's outcome for one query: the answer `z[11…1]`, the
+/// sweep count, and whether it stopped on the cap with its last change
+/// still `>= threshold`.
+fn scalar(lambda: usize, pa: &[PairAnswer], threshold: f64, max_iters: usize) -> (f64, u64, bool) {
+    let (mut sweeps, mut change) = (0usize, f64::INFINITY);
+    let mut obs = |s: usize, ch: f64| (sweeps, change) = (s, ch);
+    let z = weighted_update_observed(lambda, pa, threshold, max_iters, Some(&mut obs));
+    let capped = sweeps == max_iters.max(1) && change >= threshold;
+    (z[(1usize << lambda) - 1], sweeps as u64, capped)
+}
+
+/// Every batch entry point this CPU can run, each labelled.
+fn every_backend(
+    lambda: usize,
+    pairs: &[(usize, usize)],
+    fs: &[f64],
+    threshold: f64,
+    max_iters: usize,
+) -> Vec<(&'static str, BatchEstimate)> {
+    let mut out = vec![
+        (
+            "dispatched",
+            weighted_update_batch(lambda, pairs, fs, threshold, max_iters),
+        ),
+        (
+            "portable",
+            weighted_update_batch_portable(lambda, pairs, fs, threshold, max_iters),
+        ),
+    ];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if let Some(b) = weighted_update_batch_avx2(lambda, pairs, fs, threshold, max_iters) {
+            out.push(("avx2", b));
+        }
+        if let Some(b) = weighted_update_batch_avx512(lambda, pairs, fs, threshold, max_iters) {
+            out.push(("avx512", b));
+        }
+    }
+    out
+}
+
 /// Asserts one batch result equals running the scalar path per query, bit
-/// for bit, including the sweep counts.
+/// for bit: answers, sweep counts and the cap-hit count.
 fn assert_batch_matches_scalar(
     lambda: usize,
     pairs: &[(usize, usize)],
     fs: &[f64],
+    (threshold, max_iters): (f64, usize),
     batch: &BatchEstimate,
     label: &str,
 ) {
@@ -138,34 +178,52 @@ fn assert_batch_matches_scalar(
     let n = fs.len() / npairs;
     assert_eq!(batch.answers.len(), n, "{label}: answer count");
     assert_eq!(batch.sweeps.len(), n, "{label}: sweep count");
+    let mut cap_hits = 0u64;
     for q in 0..n {
         let pa = to_pair_answers(pairs, &fs[q * npairs..(q + 1) * npairs]);
-        let want = estimate_lambda_answer(lambda, &pa, THRESHOLD, MAX_ITERS);
+        let (want, sweeps, capped) = scalar(lambda, &pa, threshold, max_iters);
         assert_eq!(
             batch.answers[q].to_bits(),
             want.to_bits(),
             "{label}: query {q}/{n} lambda {lambda}: {} vs {want}",
             batch.answers[q]
         );
-        assert_eq!(
-            batch.sweeps[q],
-            scalar_sweeps(lambda, &pa),
-            "{label}: query {q} sweep count"
-        );
+        assert_eq!(batch.sweeps[q], sweeps, "{label}: query {q} sweep count");
+        cap_hits += u64::from(capped);
     }
+    assert_eq!(batch.cap_hits, cap_hits, "{label}: cap hits");
+}
+
+/// Runs every backend on one group and checks each against the scalar
+/// path; returns the portable result for further assertions.
+fn check_every_backend(
+    lambda: usize,
+    pairs: &[(usize, usize)],
+    fs: &[f64],
+    threshold: f64,
+    max_iters: usize,
+) -> BatchEstimate {
+    let runs = every_backend(lambda, pairs, fs, threshold, max_iters);
+    for (label, batch) in &runs {
+        assert_batch_matches_scalar(lambda, pairs, fs, (threshold, max_iters), batch, label);
+    }
+    runs.into_iter()
+        .find(|(label, _)| *label == "portable")
+        .map(|(_, b)| b)
+        .expect("the portable backend always runs")
 }
 
 #[test]
 fn batch_kernel_matches_scalar_every_lane_remainder() {
-    // Block sizes 1..=2*EST_LANES+1 hit every remainder of the 8-lane
-    // blocks: a lone query, a partial block, exactly one block, one block
-    // plus each partial tail, and two-plus blocks.
+    // Sizes 1..=IN_FLIGHT+1 hit every fill of the lanes in flight: a lone
+    // query, one partial vector, one full vector, two vectors at every
+    // occupancy, and one query more than the lanes, which must wait for
+    // a refill.
     for lambda in [3usize, 4, 6] {
         let pairs = all_pairs(lambda);
-        for n in 1..=(2 * EST_LANES + 1) {
+        for n in 1..=(IN_FLIGHT + 1) {
             let fs = batch_inputs(lambda, n, 40 + n as u64);
-            let batch = weighted_update_batch(lambda, &pairs, &fs, THRESHOLD, MAX_ITERS);
-            assert_batch_matches_scalar(lambda, &pairs, &fs, &batch, "dispatched");
+            check_every_backend(lambda, &pairs, &fs, THRESHOLD, MAX_ITERS);
         }
     }
 }
@@ -174,17 +232,54 @@ fn batch_kernel_matches_scalar_every_lane_remainder() {
 fn batch_kernel_matches_scalar_lambda_sweep() {
     for lambda in 2..=8usize {
         let pairs = all_pairs(lambda);
-        let n = EST_LANES + 3;
+        let n = IN_FLIGHT + 3;
         let fs = batch_inputs(lambda, n, 90 + lambda as u64);
-        let batch = weighted_update_batch(lambda, &pairs, &fs, THRESHOLD, MAX_ITERS);
-        assert_batch_matches_scalar(lambda, &pairs, &fs, &batch, "lambda sweep");
+        check_every_backend(lambda, &pairs, &fs, THRESHOLD, MAX_ITERS);
+    }
+}
+
+/// Pair answers for `n` queries that mix, by `q % 3`: targets the
+/// uniform start already meets (converged after one sweep), near-one
+/// targets that run to a short cap, and uniform random targets.
+fn mixed_convergence(lambda: usize, n: usize, salt: u64) -> Vec<f64> {
+    let npairs = lambda * (lambda - 1) / 2;
+    let mut fs = Vec::with_capacity(n * npairs);
+    for q in 0..n {
+        for p in 0..npairs {
+            let u = noise(salt, q as u64, p as u64);
+            fs.push(match q % 3 {
+                // Every subcube holds 2^{λ-2} of the 2^λ uniform entries.
+                0 => 0.25,
+                1 => 0.8 + 0.2 * u,
+                _ => u,
+            });
+        }
+    }
+    fs
+}
+
+#[test]
+fn refills_mid_run_land_answers_out_of_order() {
+    // Cap-bound lanes sit beside lanes that stop after one sweep, so
+    // lanes refill at different sweeps and later queries finish before
+    // earlier ones. Every answer must still land on its own query.
+    let max_iters = 30;
+    for lambda in [3usize, 4, 5] {
+        let pairs = all_pairs(lambda);
+        for n in [IN_FLIGHT - 1, IN_FLIGHT + 1, 3 * IN_FLIGHT + 5] {
+            let fs = mixed_convergence(lambda, n, 500 + n as u64);
+            let batch = check_every_backend(lambda, &pairs, &fs, THRESHOLD, max_iters);
+            // The mix really does hold both extremes.
+            assert!(batch.sweeps.contains(&1), "lambda {lambda} n {n}");
+            assert!(batch.cap_hits > 0, "lambda {lambda} n {n}");
+        }
     }
 }
 
 #[test]
 fn lanes_converging_at_different_sweeps_stay_frozen() {
-    // One block mixing a hard (correlated, slow-converging) query with
-    // near-trivial ones: the easy lanes freeze early and must not drift
+    // One vector mixing a hard (correlated, slow-converging) query with
+    // near-trivial ones: the easy lanes stop early and must not drift
     // while the hard lane keeps sweeping.
     let lambda = 4usize;
     let pairs = all_pairs(lambda);
@@ -199,8 +294,7 @@ fn lanes_converging_at_different_sweeps_stay_frozen() {
                     row[p] = m[i] * m[j];
                 }
             }
-            // Perfectly correlated: the inconsistent constraint set makes
-            // Weighted Update grind toward the sweep cap.
+            // Perfectly correlated: Weighted Update grinds on.
             1 => row.fill(0.5),
             // Mildly noisy independent.
             _ => {
@@ -211,21 +305,8 @@ fn lanes_converging_at_different_sweeps_stay_frozen() {
             }
         }
     }
-    let batch = weighted_update_batch(lambda, &pairs, &fs, 1e-6, 200);
-    let npairs = pairs.len();
-    for q in 0..EST_LANES {
-        let pa = to_pair_answers(&pairs, &fs[q * npairs..(q + 1) * npairs]);
-        let want = {
-            let z = weighted_update(lambda, &pa, 1e-6, 200);
-            z[(1usize << lambda) - 1]
-        };
-        assert_eq!(batch.answers[q].to_bits(), want.to_bits(), "lane {q}");
-        let mut sweeps = 0usize;
-        let mut obs = |s: usize, _: f64| sweeps = s;
-        let _ = weighted_update_observed(lambda, &pa, 1e-6, 200, Some(&mut obs));
-        assert_eq!(batch.sweeps[q], sweeps as u64, "lane {q} sweeps");
-    }
-    // The mix really does exercise unequal freeze points.
+    let batch = check_every_backend(lambda, &pairs, &fs, 1e-6, 200);
+    // The mix really does exercise unequal stop points.
     let min = batch.sweeps.iter().min().unwrap();
     let max = batch.sweeps.iter().max().unwrap();
     assert!(min < max, "sweep counts should differ: {:?}", batch.sweeps);
@@ -235,7 +316,7 @@ fn lanes_converging_at_different_sweeps_stay_frozen() {
 fn zero_y_rows_are_skipped_like_the_scalar_path() {
     // All-zero targets drive every z-entry to 0 after sweep 1; sweep 2
     // then hits the y == 0 skip in every pair. The batch kernel must take
-    // the same masked path. Mix zero and nonzero lanes in one block.
+    // the same masked path. Mix zero and nonzero lanes in one vector.
     let lambda = 3usize;
     let pairs = all_pairs(lambda);
     let npairs = pairs.len();
@@ -244,48 +325,53 @@ fn zero_y_rows_are_skipped_like_the_scalar_path() {
     for q in [0usize, 3, 5] {
         fs[q * npairs..(q + 1) * npairs].fill(0.0);
     }
-    // A generous threshold of 0 never converges: both paths must still
-    // terminate via max_iters with the zero rows skipping harmlessly.
-    let batch = weighted_update_batch(lambda, &pairs, &fs, 0.0, 8);
-    for q in 0..n {
-        let pa = to_pair_answers(&pairs, &fs[q * npairs..(q + 1) * npairs]);
-        let z = weighted_update(lambda, &pa, 0.0, 8);
-        assert_eq!(
-            batch.answers[q].to_bits(),
-            z[(1usize << lambda) - 1].to_bits(),
-            "query {q}"
-        );
+    // A threshold of 0 never converges: both paths must still terminate
+    // via max_iters with the zero rows skipping harmlessly.
+    check_every_backend(lambda, &pairs, &fs, 0.0, 8);
+}
+
+#[test]
+fn threshold_zero_runs_every_lane_to_the_cap_with_refills() {
+    // With threshold 0 no lane converges, so every query is a cap hit and
+    // lanes refill in lockstep cohorts; more queries than lanes in flight
+    // and a partial last cohort.
+    for lambda in [3usize, 5] {
+        let pairs = all_pairs(lambda);
+        let n = 2 * IN_FLIGHT + 5;
+        let fs = batch_inputs(lambda, n, 600 + lambda as u64);
+        let batch = check_every_backend(lambda, &pairs, &fs, 0.0, 7);
+        assert_eq!(batch.cap_hits, n as u64);
+        assert!(batch.sweeps.iter().all(|&s| s == 7));
     }
 }
 
 #[test]
 fn max_iters_zero_still_runs_one_sweep() {
     // The scalar loop clamps max_iters to at least 1; the batch kernel
-    // must do the same.
+    // must do the same, also when lanes refill after that single sweep.
     let lambda = 3usize;
     let pairs = all_pairs(lambda);
-    let fs = batch_inputs(lambda, 3, 11);
-    let batch = weighted_update_batch(lambda, &pairs, &fs, 1e-9, 0);
-    assert_batch_matches_scalar_iters(lambda, &pairs, &fs, &batch, 0);
-    assert!(batch.sweeps.iter().all(|&s| s == 1));
+    for n in [3usize, 2 * IN_FLIGHT + 3] {
+        let fs = batch_inputs(lambda, n, 11);
+        let batch = check_every_backend(lambda, &pairs, &fs, THRESHOLD, 0);
+        assert!(batch.sweeps.iter().all(|&s| s == 1));
+    }
 }
 
-fn assert_batch_matches_scalar_iters(
-    lambda: usize,
-    pairs: &[(usize, usize)],
-    fs: &[f64],
-    batch: &BatchEstimate,
-    max_iters: usize,
-) {
-    let npairs = pairs.len();
-    for q in 0..fs.len() / npairs {
-        let pa = to_pair_answers(pairs, &fs[q * npairs..(q + 1) * npairs]);
-        let z = weighted_update(lambda, &pa, 1e-9, max_iters);
-        assert_eq!(
-            batch.answers[q].to_bits(),
-            z[(1usize << lambda) - 1].to_bits(),
-            "query {q}"
-        );
+#[test]
+fn nan_threshold_runs_no_sweep_on_every_backend() {
+    // The scalar loop tests `change >= threshold` with the change starting
+    // at infinity, which is false for a NaN threshold: no sweep runs and
+    // every answer stays at the uniform start 1/2^λ.
+    for lambda in [3usize, 4] {
+        let pairs = all_pairs(lambda);
+        for n in [1usize, EST_LANES + 1, IN_FLIGHT + 1] {
+            let fs = batch_inputs(lambda, n, 700 + n as u64);
+            let batch = check_every_backend(lambda, &pairs, &fs, f64::NAN, MAX_ITERS);
+            assert!(batch.sweeps.iter().all(|&s| s == 0));
+            let uniform = 1.0 / (1u64 << lambda) as f64;
+            assert!(batch.answers.iter().all(|&a| a == uniform));
+        }
     }
 }
 
@@ -293,10 +379,17 @@ fn assert_batch_matches_scalar_iters(
 fn portable_kernel_matches_scalar() {
     for lambda in [3usize, 5, 7] {
         let pairs = all_pairs(lambda);
-        for n in [1usize, EST_LANES - 1, EST_LANES, EST_LANES + 5] {
+        for n in [
+            1usize,
+            EST_LANES - 1,
+            EST_LANES,
+            EST_LANES + 5,
+            IN_FLIGHT + 5,
+        ] {
             let fs = batch_inputs(lambda, n, 200 + n as u64);
             let batch = weighted_update_batch_portable(lambda, &pairs, &fs, THRESHOLD, MAX_ITERS);
-            assert_batch_matches_scalar(lambda, &pairs, &fs, &batch, "portable");
+            let settings = (THRESHOLD, MAX_ITERS);
+            assert_batch_matches_scalar(lambda, &pairs, &fs, settings, &batch, "portable");
         }
     }
 }
@@ -306,14 +399,21 @@ fn portable_kernel_matches_scalar() {
 fn avx2_kernel_matches_portable_where_supported() {
     for lambda in [3usize, 5, 7] {
         let pairs = all_pairs(lambda);
-        for n in [1usize, EST_LANES - 1, EST_LANES, EST_LANES + 5] {
+        for n in [
+            1usize,
+            EST_LANES - 1,
+            EST_LANES,
+            EST_LANES + 5,
+            IN_FLIGHT + 5,
+        ] {
             let fs = batch_inputs(lambda, n, 300 + n as u64);
             let Some(batch) = weighted_update_batch_avx2(lambda, &pairs, &fs, THRESHOLD, MAX_ITERS)
             else {
                 eprintln!("skipping: CPU lacks AVX2");
                 return;
             };
-            assert_batch_matches_scalar(lambda, &pairs, &fs, &batch, "avx2");
+            let settings = (THRESHOLD, MAX_ITERS);
+            assert_batch_matches_scalar(lambda, &pairs, &fs, settings, &batch, "avx2");
             let portable =
                 weighted_update_batch_portable(lambda, &pairs, &fs, THRESHOLD, MAX_ITERS);
             assert_eq!(batch, portable, "avx2 vs portable");
@@ -326,7 +426,13 @@ fn avx2_kernel_matches_portable_where_supported() {
 fn avx512_kernel_matches_portable_where_supported() {
     for lambda in [3usize, 5, 7] {
         let pairs = all_pairs(lambda);
-        for n in [1usize, EST_LANES - 1, EST_LANES, EST_LANES + 5] {
+        for n in [
+            1usize,
+            EST_LANES - 1,
+            EST_LANES,
+            EST_LANES + 5,
+            IN_FLIGHT + 5,
+        ] {
             let fs = batch_inputs(lambda, n, 400 + n as u64);
             let Some(batch) =
                 weighted_update_batch_avx512(lambda, &pairs, &fs, THRESHOLD, MAX_ITERS)
@@ -334,7 +440,8 @@ fn avx512_kernel_matches_portable_where_supported() {
                 eprintln!("skipping: CPU lacks AVX-512F/DQ");
                 return;
             };
-            assert_batch_matches_scalar(lambda, &pairs, &fs, &batch, "avx512");
+            let settings = (THRESHOLD, MAX_ITERS);
+            assert_batch_matches_scalar(lambda, &pairs, &fs, settings, &batch, "avx512");
             let portable =
                 weighted_update_batch_portable(lambda, &pairs, &fs, THRESHOLD, MAX_ITERS);
             assert_eq!(batch, portable, "avx512 vs portable");
@@ -347,4 +454,5 @@ fn empty_batch_is_empty() {
     let batch = weighted_update_batch(3, &all_pairs(3), &[], THRESHOLD, MAX_ITERS);
     assert!(batch.answers.is_empty());
     assert!(batch.sweeps.is_empty());
+    assert_eq!(batch.cap_hits, 0);
 }

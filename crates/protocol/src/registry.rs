@@ -539,6 +539,7 @@ impl SnapshotRegistry {
             };
             let total = total.get_or_insert_with(EstimatorTelemetry::default);
             total.wu_sweeps += t.wu_sweeps;
+            total.wu_cap_hits += t.wu_cap_hits;
             for (l, n) in t.lambda_counts {
                 match total.lambda_counts.binary_search_by_key(&l, |&(bl, _)| bl) {
                     Ok(i) => total.lambda_counts[i].1 += n,
