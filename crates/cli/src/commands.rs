@@ -327,13 +327,12 @@ pub fn ingest(args: &ParsedArgs) -> Result<String, String> {
         "support kernel backend: {}",
         privmdr_util::hash::kernel_backend().name()
     );
-    let bytes = buf.freeze();
     let mut best: Option<(Collector, usize, f64)> = None;
     for _ in 0..repeat {
         let mut pass = Collector::new(plan.clone()).map_err(|e| e.to_string())?;
         let start = std::time::Instant::now();
         let ingested = pass
-            .ingest_stream_sharded(bytes.clone(), shards)
+            .ingest_stream_sharded(&buf, shards)
             .map_err(|e| e.to_string())?;
         let secs = start.elapsed().as_secs_f64().max(1e-9);
         if best.as_ref().is_none_or(|(_, _, b)| secs < *b) {

@@ -2,8 +2,8 @@
 //! serial path and the sharded path at increasing shard counts, a
 //! micro-bench sweep of the block-transposed OLH support kernel (batched
 //! vs per-report at c ∈ {64, 256, 1024} × batch lengths), the end-to-end
-//! wire→counters cost of the zero-copy cursor path vs decode-to-`Vec`,
-//! plus the wire decode cost of the two framings.
+//! wire→counters cost of the zero-copy cursor path, plus the wire decode
+//! cost of the two framings.
 //!
 //! The headline number is `ingest/shards=K` on the 256-cell grid: the
 //! support-counting pass is O(cells) per report and embarrassingly
@@ -166,7 +166,7 @@ fn bench_epoch_streaming(c: &mut Criterion) {
         b.iter(|| {
             let mut collector = EpochCollector::new(plan.clone()).unwrap();
             collector
-                .ingest_stream_epochs(black_box(wire.clone()), 1, u64::MAX, |_| {})
+                .ingest_stream_epochs(black_box(&wire), 1, u64::MAX, |_| {})
                 .unwrap();
             black_box(collector.report_count())
         })
@@ -176,7 +176,7 @@ fn bench_epoch_streaming(c: &mut Criterion) {
             let mut collector = EpochCollector::new(plan.clone()).unwrap();
             let mut cuts = 0usize;
             collector
-                .ingest_stream_epochs(black_box(wire.clone()), 1, 4_000, |cut| {
+                .ingest_stream_epochs(black_box(&wire), 1, 4_000, |cut| {
                     cuts += 1;
                     black_box(cut.snapshot);
                 })
@@ -213,13 +213,10 @@ fn bench_epoch_streaming(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end wire stream → fitted counters, both ingestion paths: the
-/// borrowing `FrameCursor` route (what `ingest_stream_sharded` takes for
-/// a contiguous buffer — frames validated in place, `(seed, y)` pairs fed
-/// to the support kernel straight from the wire bytes) vs decoding the
-/// stream to a `Vec<Report>` first (what fragmented buffers pay). The
-/// final state is bit-identical by construction; the gap is the
-/// materialization cost.
+/// End-to-end wire stream → fitted counters through
+/// `ingest_stream_sharded`: frames validated in place by the borrowing
+/// `FrameCursor`, `(seed, y)` pairs fed to the support kernel straight
+/// from the wire bytes.
 fn bench_wire_ingest(c: &mut Criterion) {
     let cells = 256usize;
     let n = 20_000usize;
@@ -237,16 +234,8 @@ fn bench_wire_ingest(c: &mut Criterion) {
         b.iter(|| {
             let mut collector = Collector::new(plan.clone()).unwrap();
             collector
-                .ingest_stream_sharded(black_box(wire.clone()), 1)
+                .ingest_stream_sharded(black_box(&wire), 1)
                 .unwrap();
-            black_box(collector.report_count())
-        })
-    });
-    group.bench_function("decode_to_vec", |b| {
-        b.iter(|| {
-            let mut collector = Collector::new(plan.clone()).unwrap();
-            let decoded = Batch::decode_stream(black_box(wire.clone())).unwrap();
-            collector.ingest_batch(&decoded, 1).unwrap();
             black_box(collector.report_count())
         })
     });

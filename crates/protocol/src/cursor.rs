@@ -9,13 +9,14 @@
 //! (same checks, same error values, same order) but *borrows*: each
 //! [`ReportFrame`] it yields is a window over the caller's buffer, and the
 //! collector reads groups and `(seed, y)` pairs directly from those bytes
-//! into the partition pass and the support kernel. The decode-to-`Vec`
-//! path remains in `wire` for fragmented (non-contiguous) buffers and as
-//! the reference the equivalence suite (`tests/cursor_prop.rs`) pins this
-//! module against: both paths must accept exactly the same streams, reject
-//! exactly the same garbage, and produce bit-identical collector state.
+//! into the partition pass and the support kernel. It is the collectors'
+//! only wire-ingest path. The owning decoders in `wire` stay as the
+//! independent reference the equivalence suite (`tests/cursor_prop.rs`)
+//! pins this module against: both must accept exactly the same streams,
+//! reject exactly the same garbage, and produce bit-identical collector
+//! state.
 
-use crate::wire::{self, approach_from_wire_byte, oracle_from_wire_byte, MechanismTag, Report};
+use crate::wire::{self, approach_from_wire_byte, oracle_from_wire_byte, MechanismTag};
 use crate::ProtocolError;
 
 #[inline]
@@ -48,11 +49,6 @@ impl<'a> ReportFrame<'a> {
         self.count
     }
 
-    /// Whether the frame holds no reports.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// The frame's mechanism tag (untagged v1 frames imply the default).
     pub fn tag(&self) -> MechanismTag {
         self.tag
@@ -78,8 +74,8 @@ impl<'a> ReportFrame<'a> {
         le_u32(self.bodies, i * self.body_len())
     }
 
-    /// The `i`-th report's `(seed, y)` pair, exactly as the decode-to-`Vec`
-    /// path would produce it (narrow `y` zero-extends from `u32`).
+    /// The `i`-th report's `(seed, y)` pair, exactly as the owning `wire`
+    /// decoders would produce it (narrow `y` zero-extends from `u32`).
     ///
     /// # Panics
     ///
@@ -95,21 +91,6 @@ impl<'a> ReportFrame<'a> {
             u64::from(le_u32(self.bodies, at + 12))
         };
         (seed, y)
-    }
-
-    /// The `i`-th report, materialized (for the fallback interop and
-    /// equivalence tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= count()`.
-    pub fn report_at(&self, i: usize) -> Report {
-        let (seed, y) = self.pair_at(i);
-        Report {
-            group: self.group_at(i),
-            seed,
-            y,
-        }
     }
 
     /// A sub-window of `len` reports starting at `start` — how the epoch
@@ -340,6 +321,7 @@ impl<'a> FrameCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Report;
     use bytes::BytesMut;
 
     fn reports(n: usize) -> Vec<Report> {
@@ -362,7 +344,10 @@ mod tests {
         assert_eq!(frame.count(), 10);
         assert_eq!(frame.tag(), MechanismTag::DEFAULT);
         for (i, r) in rs.iter().enumerate() {
-            assert_eq!(frame.report_at(i), *r);
+            assert_eq!(
+                (frame.group_at(i), frame.pair_at(i)),
+                (r.group, (r.seed, r.y))
+            );
         }
         assert!(cursor.next_frame().unwrap().is_none());
     }
@@ -377,7 +362,8 @@ mod tests {
         let window = frame.slice(3, 4);
         assert_eq!(window.count(), 4);
         for i in 0..4 {
-            assert_eq!(window.report_at(i), frame.report_at(3 + i));
+            assert_eq!(window.pair_at(i), frame.pair_at(3 + i));
+            assert_eq!(window.group_at(i), frame.group_at(3 + i));
         }
     }
 

@@ -32,49 +32,27 @@
 
 use crate::cursor::{FrameCursor, ReportFrame};
 use crate::plan::{GroupTarget, SessionPlan};
-use crate::wire::{self, MechanismTag, Report};
+use crate::wire::{MechanismTag, Report};
 use crate::ProtocolError;
-use bytes::Buf;
 use privmdr_core::{ApproachKind, Hdg, MechanismConfig, Model, ModelSnapshot, Msw, Tdg};
 use privmdr_grid::{Grid1d, Grid2d};
 use privmdr_oracles::{AdaptiveOracle, FrequencyOracle};
 use privmdr_util::par::{par_map, split_chunks};
 
-/// Splits a report batch into per-group `(seed, y)` runs, preserving
+/// Splits one shard's reports into per-group `(seed, y)` runs, preserving
 /// arrival order within each group, so each group's reports can be fed to
-/// the block-transposed kernel in one contiguous pass. Callers must have
-/// validated that every `report.group < groups`.
-fn partition_by_group(reports: &[Report], groups: usize) -> Vec<Vec<(u64, u64)>> {
+/// the block-transposed kernel in one contiguous pass. `reports` yields
+/// the shard's `(group, (seed, y))` items and is walked twice: a count
+/// pass, then a fill pass. Callers must have validated every group index.
+fn partition_by_group<I>(groups: usize, reports: impl Fn() -> I) -> Vec<Vec<(u64, u64)>>
+where
+    I: Iterator<Item = (u32, (u64, u64))>,
+{
     let mut counts = vec![0usize; groups];
-    for r in reports {
-        counts[r.group as usize] += 1;
-    }
+    reports().for_each(|(g, _)| counts[g as usize] += 1);
     let mut by_group: Vec<Vec<(u64, u64)>> =
         counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for r in reports {
-        by_group[r.group as usize].push((r.seed, r.y));
-    }
-    by_group
-}
-
-/// [`partition_by_group`] over borrowed wire frames: the same count pass +
-/// fill pass, reading groups and `(seed, y)` pairs straight from the frame
-/// bytes instead of from a materialized `Vec<Report>`. Callers must have
-/// validated every group index.
-fn partition_frames_by_group(frames: &[ReportFrame<'_>], groups: usize) -> Vec<Vec<(u64, u64)>> {
-    let mut counts = vec![0usize; groups];
-    for frame in frames {
-        for i in 0..frame.count() {
-            counts[frame.group_at(i) as usize] += 1;
-        }
-    }
-    let mut by_group: Vec<Vec<(u64, u64)>> =
-        counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for frame in frames {
-        for i in 0..frame.count() {
-            by_group[frame.group_at(i) as usize].push(frame.pair_at(i));
-        }
-    }
+    reports().for_each(|(g, pair)| by_group[g as usize].push(pair));
     by_group
 }
 
@@ -131,10 +109,6 @@ impl GroupAccumulator {
             supports: vec![0; cells],
             reports: 0,
         }
-    }
-
-    fn ingest(&mut self, seed: u64, y: u64) {
-        self.ingest_batch(&[(seed, y)]);
     }
 
     /// Folds a whole group-partitioned batch through the oracle's support
@@ -197,56 +171,26 @@ impl Collector {
             .groups
             .get_mut(report.group as usize)
             .ok_or(ProtocolError::UnknownGroup(report.group))?;
-        acc.ingest(report.seed, report.y);
+        acc.ingest_batch(&[(report.seed, report.y)]);
         self.total_reports += 1;
         Ok(())
     }
 
     /// Ingests a raw wire buffer — legacy concatenated reports or
-    /// length-prefixed [`wire::Batch`] frames, auto-detected — serially;
-    /// returns how many reports were processed.
-    pub fn ingest_stream(&mut self, buf: impl Buf) -> Result<usize, ProtocolError> {
-        self.ingest_stream_sharded(buf, 1)
-    }
-
-    /// Ingests a raw wire buffer (either framing, tagged or untagged)
-    /// across `shards` parallel shard accumulators; returns how many
-    /// reports were processed. A stream whose mechanism tag disagrees with
-    /// the session plan — e.g. GRR-randomized reports arriving at an OLH
-    /// session — is rejected before any counter is touched (untagged
-    /// frames imply OLH/HDG).
+    /// length-prefixed [`crate::wire::Batch`] frames, tagged or untagged,
+    /// auto-detected — across `shards` parallel shard accumulators;
+    /// returns how many reports were processed. `shards = 1` is the
+    /// serial path.
     ///
-    /// Contiguous buffers (`Bytes`, `&[u8]` — every production source)
-    /// take the zero-copy [`FrameCursor`] path ([`Self::ingest_slice_sharded`]);
-    /// fragmented multi-chunk buffers fall back to the decode-to-`Vec`
-    /// path, which `tests/cursor_prop.rs` pins bit-identical.
+    /// The frames are walked with a borrowing [`FrameCursor`] and the
+    /// `(seed, y)` pairs reach the support kernel straight from `bytes`,
+    /// with no intermediate `Vec<Report>`. The whole stream is validated
+    /// (framing, mechanism tag, group indices) before any counter moves,
+    /// so an error leaves the collector untouched. A stream whose
+    /// mechanism tag disagrees with the session plan — e.g.
+    /// GRR-randomized reports arriving at an OLH session — is rejected
+    /// (untagged frames imply OLH/HDG).
     pub fn ingest_stream_sharded(
-        &mut self,
-        buf: impl Buf,
-        shards: usize,
-    ) -> Result<usize, ProtocolError> {
-        if buf.chunk().len() == buf.remaining() {
-            return self.ingest_slice_sharded(buf.chunk(), shards);
-        }
-        let (reports, tag) = wire::decode_any_stream_tagged(buf)?;
-        if let Some(tag) = tag {
-            if tag != self.plan.mechanism_tag() {
-                return Err(ProtocolError::Malformed(
-                    "stream mechanism tag does not match the session plan",
-                ));
-            }
-        }
-        self.ingest_batch(&reports, shards)
-    }
-
-    /// Zero-copy form of [`Self::ingest_stream_sharded`]: walks the wire
-    /// frames with a borrowing [`FrameCursor`] (same validation, same
-    /// errors) and feeds `(seed, y)` pairs to the support kernel straight
-    /// from `bytes` — no intermediate `Vec<Report>`. The whole stream is
-    /// validated (framing, mechanism tag, group indices) before any
-    /// counter moves, so errors leave the collector untouched, exactly
-    /// like the decode-to-`Vec` path.
-    pub fn ingest_slice_sharded(
         &mut self,
         bytes: &[u8],
         shards: usize,
@@ -278,52 +222,26 @@ impl Collector {
     /// same validate-up-front error contract and the same bit-identity:
     /// group partitioning reads pairs directly from the frame bytes, and
     /// the sharded path splits the concatenated frame sequence into
-    /// contiguous runs whose private counters merge by commutative `u64`
-    /// adds.
+    /// contiguous runs.
     pub(crate) fn ingest_frames(
         &mut self,
         frames: &[ReportFrame<'_>],
         shards: usize,
     ) -> Result<usize, ProtocolError> {
         let groups = self.groups.len();
-        for frame in frames {
-            for i in 0..frame.count() {
-                let g = frame.group_at(i);
-                if g as usize >= groups {
-                    return Err(ProtocolError::UnknownGroup(g));
-                }
-            }
+        let mut group_ids = frames
+            .iter()
+            .flat_map(|f| (0..f.count()).map(move |i| f.group_at(i)));
+        if let Some(bad) = group_ids.find(|&g| g as usize >= groups) {
+            return Err(ProtocolError::UnknownGroup(bad));
         }
+        self.fold_runs(&split_frame_runs(frames, shards), |run| {
+            partition_by_group(groups, || {
+                run.iter()
+                    .flat_map(|f| (0..f.count()).map(move |i| (f.group_at(i), f.pair_at(i))))
+            })
+        });
         let total: usize = frames.iter().map(|f| f.count()).sum();
-        if shards <= 1 || total < 2 {
-            for (g, pairs) in partition_frames_by_group(frames, groups).iter().enumerate() {
-                self.groups[g].ingest_batch(pairs);
-            }
-        } else {
-            let runs = split_frame_runs(frames, shards);
-            let oracles: Vec<AdaptiveOracle> = self.groups.iter().map(|g| g.oracle).collect();
-            let cells: Vec<usize> = self.groups.iter().map(|g| g.supports.len()).collect();
-            let partials = par_map(&runs, |run| {
-                let by_group = partition_frames_by_group(run, oracles.len());
-                let mut supports: Vec<Vec<u64>> =
-                    cells.iter().map(|&cells| vec![0u64; cells]).collect();
-                let counts: Vec<u64> = by_group.iter().map(|p| p.len() as u64).collect();
-                for ((oracle, sup), pairs) in oracles.iter().zip(&mut supports).zip(&by_group) {
-                    oracle.add_support_batch(pairs, sup);
-                }
-                (supports, counts)
-            });
-            for (supports, counts) in partials {
-                for ((acc, shard_supports), count) in
-                    self.groups.iter_mut().zip(supports).zip(counts)
-                {
-                    for (dst, s) in acc.supports.iter_mut().zip(shard_supports) {
-                        *dst += s;
-                    }
-                    acc.reports += count;
-                }
-            }
-        }
         self.total_reports += total as u64;
         Ok(total)
     }
@@ -340,48 +258,57 @@ impl Collector {
         reports: &[Report],
         shards: usize,
     ) -> Result<usize, ProtocolError> {
-        if let Some(bad) = reports
-            .iter()
-            .find(|r| r.group as usize >= self.groups.len())
-        {
+        let groups = self.groups.len();
+        if let Some(bad) = reports.iter().find(|r| r.group as usize >= groups) {
             return Err(ProtocolError::UnknownGroup(bad.group));
         }
-        if shards <= 1 || reports.len() < 2 {
-            for (g, pairs) in partition_by_group(reports, self.groups.len())
-                .iter()
-                .enumerate()
-            {
-                self.groups[g].ingest_batch(pairs);
-            }
-        } else {
-            let chunks = split_chunks(reports, shards);
-            // AdaptiveOracle is Copy; snapshot the per-group oracles so
-            // shard closures don't borrow `self`.
-            let oracles: Vec<AdaptiveOracle> = self.groups.iter().map(|g| g.oracle).collect();
-            let cells: Vec<usize> = self.groups.iter().map(|g| g.supports.len()).collect();
-            let partials = par_map(&chunks, |chunk| {
-                let by_group = partition_by_group(chunk, oracles.len());
-                let mut supports: Vec<Vec<u64>> =
-                    cells.iter().map(|&cells| vec![0u64; cells]).collect();
-                let counts: Vec<u64> = by_group.iter().map(|p| p.len() as u64).collect();
-                for ((oracle, sup), pairs) in oracles.iter().zip(&mut supports).zip(&by_group) {
-                    oracle.add_support_batch(pairs, sup);
-                }
-                (supports, counts)
-            });
-            for (supports, counts) in partials {
-                for ((acc, shard_supports), count) in
-                    self.groups.iter_mut().zip(supports).zip(counts)
-                {
-                    for (dst, s) in acc.supports.iter_mut().zip(shard_supports) {
-                        *dst += s;
-                    }
-                    acc.reports += count;
-                }
-            }
-        }
+        self.fold_runs(&split_chunks(reports, shards), |chunk| {
+            partition_by_group(groups, || chunk.iter().map(|r| (r.group, (r.seed, r.y))))
+        });
         self.total_reports += reports.len() as u64;
         Ok(reports.len())
+    }
+
+    /// Folds validated shard runs into the group accumulators; `partition`
+    /// splits one run into per-group `(seed, y)` pairs. A lone run goes
+    /// straight into the accumulators; several runs each fill private
+    /// per-group counters on the calling thread or a pool worker
+    /// ([`par_map`]), merged afterwards with `u64` adds.
+    fn fold_runs<R: Sync>(
+        &mut self,
+        runs: &[R],
+        partition: impl Fn(&R) -> Vec<Vec<(u64, u64)>> + Sync,
+    ) {
+        if runs.len() <= 1 {
+            for run in runs {
+                for (acc, pairs) in self.groups.iter_mut().zip(partition(run)) {
+                    acc.ingest_batch(&pairs);
+                }
+            }
+            return;
+        }
+        // AdaptiveOracle is Copy; snapshot the per-group oracles so shard
+        // closures don't borrow `self`.
+        let oracles: Vec<AdaptiveOracle> = self.groups.iter().map(|g| g.oracle).collect();
+        let cells: Vec<usize> = self.groups.iter().map(|g| g.supports.len()).collect();
+        let partials = par_map(runs, |run| {
+            let by_group = partition(run);
+            let mut supports: Vec<Vec<u64>> =
+                cells.iter().map(|&cells| vec![0u64; cells]).collect();
+            let counts: Vec<u64> = by_group.iter().map(|p| p.len() as u64).collect();
+            for ((oracle, sup), pairs) in oracles.iter().zip(&mut supports).zip(&by_group) {
+                oracle.add_support_batch(pairs, sup);
+            }
+            (supports, counts)
+        });
+        for (supports, counts) in partials {
+            for ((acc, shard_supports), count) in self.groups.iter_mut().zip(supports).zip(counts) {
+                for (dst, s) in acc.supports.iter_mut().zip(shard_supports) {
+                    *dst += s;
+                }
+                acc.reports += count;
+            }
+        }
     }
 
     /// The raw per-group state: `(support counters, reports ingested)`.
@@ -560,7 +487,7 @@ mod tests {
                 .unwrap()
                 .encode(&mut buf);
         }
-        let ingested = collector.ingest_stream(buf.freeze()).unwrap();
+        let ingested = collector.ingest_stream_sharded(&buf, 1).unwrap();
         assert_eq!(ingested, 500);
         assert_eq!(collector.report_count(), 500);
     }
@@ -646,11 +573,9 @@ mod tests {
         assert!(batch_buf.len() < legacy_buf.len());
 
         let mut via_legacy = Collector::new(plan.clone()).unwrap();
-        via_legacy.ingest_stream(legacy_buf.freeze()).unwrap();
+        via_legacy.ingest_stream_sharded(&legacy_buf, 1).unwrap();
         let mut via_batches = Collector::new(plan.clone()).unwrap();
-        via_batches
-            .ingest_stream_sharded(batch_buf.freeze(), 4)
-            .unwrap();
+        via_batches.ingest_stream_sharded(&batch_buf, 4).unwrap();
         for g in 0..plan.group_count() as u32 {
             assert_eq!(
                 via_legacy.group_state(g).unwrap(),
@@ -723,7 +648,7 @@ mod tests {
         )
         .encode(&mut buf);
         assert!(matches!(
-            collector.ingest_stream(buf.freeze()),
+            collector.ingest_stream_sharded(&buf, 1),
             Err(ProtocolError::Malformed(_))
         ));
         assert_eq!(collector.report_count(), 0);

@@ -53,8 +53,7 @@
 use crate::plan::SessionPlan;
 use crate::server::Collector;
 use crate::wire::{
-    self, approach_from_wire_byte, approach_wire_byte, oracle_from_wire_byte, oracle_wire_byte,
-    Batch, MechanismTag, Report,
+    approach_from_wire_byte, approach_wire_byte, oracle_from_wire_byte, oracle_wire_byte, Report,
 };
 use crate::ProtocolError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -334,23 +333,23 @@ impl EpochCollector {
     /// epoch boundaries split wire frames exactly, so a batch straddling
     /// a boundary lands in both epochs precisely where the cut falls.
     /// `on_cut` receives each [`EpochCut`] as it happens. Returns how many
-    /// reports were processed.
+    /// reports were processed. An in-flight epoch that already holds
+    /// `epoch_every` reports or more (left by [`Self::ingest_batch`] or an
+    /// earlier call with a larger epoch size) is sealed before the next
+    /// report lands.
     ///
-    /// Unlike the one-shot [`Collector::ingest_stream_sharded`] (which
-    /// validates the whole buffer before touching any counter), this is a
-    /// *streaming* path: frames are validated as they arrive, and a
-    /// malformed or tag-mismatched frame aborts mid-stream with earlier
-    /// frames already ingested and earlier epochs already cut — the
-    /// long-lived-service semantics.
-    ///
-    /// Contiguous buffers take the zero-copy [`crate::cursor::FrameCursor`]
-    /// path — frame windows are sliced at epoch boundaries and fed to the
-    /// kernel straight from the buffer; fragmented buffers fall back to
-    /// the decode-to-`Vec` loop, which `tests/cursor_prop.rs` pins
-    /// bit-identical (including the mid-stream-abort semantics).
+    /// Each frame is a borrowed [`crate::cursor::FrameCursor`] window over
+    /// `bytes`, sliced at epoch boundaries and fed to the support kernel
+    /// without a `Vec<Report>` in between. Unlike the one-shot
+    /// [`Collector::ingest_stream_sharded`] (which validates the whole
+    /// buffer before touching any counter), this is a *streaming* path:
+    /// frames are validated as they arrive, and a malformed or
+    /// tag-mismatched frame aborts mid-stream with earlier frames already
+    /// ingested and earlier epochs already cut — the long-lived-service
+    /// semantics.
     pub fn ingest_stream_epochs(
         &mut self,
-        mut buf: impl Buf,
+        bytes: &[u8],
         shards: usize,
         epoch_every: u64,
         mut on_cut: impl FnMut(EpochCut),
@@ -360,52 +359,6 @@ impl EpochCollector {
                 "epoch size must be at least 1".into(),
             ));
         }
-        if buf.chunk().len() == buf.remaining() {
-            return self.ingest_slice_epochs(buf.chunk(), shards, epoch_every, on_cut);
-        }
-        let expected_tag = self.plan().mechanism_tag();
-        let mut processed = 0usize;
-        while buf.has_remaining() {
-            let (reports, tag) = if buf.chunk()[0] == wire::BATCH_TAG {
-                let batch = Batch::decode(&mut buf)?;
-                (batch.reports, batch.mechanism)
-            } else {
-                let (report, tag) = Report::decode_with_tag(&mut buf)?;
-                (vec![report], tag)
-            };
-            if tag.unwrap_or(MechanismTag::DEFAULT) != expected_tag {
-                return Err(ProtocolError::Malformed(
-                    "stream mechanism tag does not match the session plan",
-                ));
-            }
-            let mut rest = reports.as_slice();
-            while !rest.is_empty() {
-                let room = epoch_every - self.active.report_count();
-                let take = (rest.len() as u64).min(room) as usize;
-                self.ingest_batch(&rest[..take], shards)?;
-                rest = &rest[take..];
-                if self.active.report_count() == epoch_every {
-                    on_cut(self.cut_epoch()?);
-                }
-            }
-            processed += reports.len();
-        }
-        Ok(processed)
-    }
-
-    /// Zero-copy form of [`Self::ingest_stream_epochs`] for contiguous
-    /// buffers: each frame is a borrowed window over `bytes`, epoch
-    /// boundaries slice the window exactly where the cut falls, and the
-    /// slices reach the support kernel without a `Vec<Report>` in between.
-    /// Frame-by-frame validation and the mid-stream-abort semantics are
-    /// identical to the fallback loop.
-    fn ingest_slice_epochs(
-        &mut self,
-        bytes: &[u8],
-        shards: usize,
-        epoch_every: u64,
-        mut on_cut: impl FnMut(EpochCut),
-    ) -> Result<usize, ProtocolError> {
         let expected_tag = self.plan().mechanism_tag();
         let mut cursor = crate::cursor::FrameCursor::mixed(bytes);
         let mut processed = 0usize;
@@ -417,12 +370,14 @@ impl EpochCollector {
             }
             let mut start = 0usize;
             while start < frame.count() {
-                let room = epoch_every - self.active.report_count();
+                // An epoch already at or over `epoch_every` has no room:
+                // it takes nothing and is sealed below.
+                let room = epoch_every.saturating_sub(self.active.report_count());
                 let take = ((frame.count() - start) as u64).min(room) as usize;
                 self.active
                     .ingest_frames(&[frame.slice(start, take)], shards)?;
                 start += take;
-                if self.active.report_count() == epoch_every {
+                if self.active.report_count() >= epoch_every {
                     on_cut(self.cut_epoch()?);
                 }
             }
@@ -436,6 +391,7 @@ impl EpochCollector {
 mod tests {
     use super::*;
     use crate::client::ClientFactory;
+    use crate::wire::{Batch, MechanismTag};
     use privmdr_util::rng::derive_rng;
 
     fn session_reports(plan: &SessionPlan, n: usize, seed: u64) -> Vec<Report> {
@@ -554,7 +510,7 @@ mod tests {
         let mut streaming = EpochCollector::new(plan.clone()).unwrap();
         let mut cuts = Vec::new();
         let n = streaming
-            .ingest_stream_epochs(buf.freeze(), 2, 1_000, |cut| cuts.push(cut))
+            .ingest_stream_epochs(&buf, 2, 1_000, |cut| cuts.push(cut))
             .unwrap();
         assert_eq!(n, 2_500);
         assert_eq!(cuts.len(), 2);
@@ -572,9 +528,7 @@ mod tests {
     fn stream_epochs_rejects_zero_epoch_size_and_mismatched_tags() {
         let plan = SessionPlan::new(1_000, 3, 16, 1.0, 2).unwrap(); // OLH/HDG
         let mut streaming = EpochCollector::new(plan).unwrap();
-        assert!(streaming
-            .ingest_stream_epochs(Bytes::new(), 1, 0, |_| {})
-            .is_err());
+        assert!(streaming.ingest_stream_epochs(&[], 1, 0, |_| {}).is_err());
 
         let mut buf = BytesMut::new();
         Batch::tagged(
@@ -593,7 +547,7 @@ mod tests {
         )
         .encode(&mut buf);
         assert!(streaming
-            .ingest_stream_epochs(buf.freeze(), 1, 100, |_| {})
+            .ingest_stream_epochs(&buf, 1, 100, |_| {})
             .is_err());
         assert_eq!(streaming.report_count(), 0);
     }

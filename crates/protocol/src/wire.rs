@@ -546,8 +546,7 @@ pub fn decode_any_stream(buf: impl Buf) -> Result<Vec<Report>, ProtocolError> {
 
 /// [`decode_any_stream`] plus the stream's mechanism tag: `Some` once the
 /// stream carries at least one frame (untagged frames imply
-/// [`MechanismTag::DEFAULT`]), `None` for an empty stream. The collector
-/// validates the tag against its session plan before aggregating.
+/// [`MechanismTag::DEFAULT`]), `None` for an empty stream.
 pub fn decode_any_stream_tagged(
     buf: impl Buf,
 ) -> Result<(Vec<Report>, Option<MechanismTag>), ProtocolError> {

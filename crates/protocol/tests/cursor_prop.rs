@@ -1,17 +1,22 @@
-//! Zero-copy cursor ≡ decode-to-`Vec` ingestion bit-identity.
+//! Zero-copy cursor ≡ owning-decoder reference ingestion bit-identity.
 //!
-//! The collector takes the borrowing `FrameCursor` path for contiguous
-//! buffers and the original decode-to-`Vec` path for fragmented ones.
-//! These suites pin the contract that makes that dispatch invisible: for
-//! every stream — v1/v2/v3 frames, batch or standalone framing, valid,
-//! truncated, or outright garbage — both paths accept/reject identically,
-//! never panic, leave an erroring one-shot collector untouched, and
-//! produce bit-identical counters when they succeed. The epoch path gets
-//! the same treatment, including its mid-stream-abort semantics.
+//! The collectors ingest wire bytes only through the borrowing
+//! `FrameCursor`. These suites pin it against a reference built from the
+//! owning `wire` decoders, which share no code with the cursor: for every
+//! stream — v1/v2/v3 frames, batch or standalone framing, valid,
+//! truncated, or outright garbage — both accept/reject identically (the
+//! same error values included), never panic, leave an erroring one-shot
+//! collector untouched, and produce bit-identical counters when they
+//! succeed. The epoch path gets the same treatment, including cut
+//! placement and its mid-stream-abort semantics.
 
-use bytes::{Buf, BytesMut};
+use bytes::BytesMut;
 use privmdr_core::ApproachKind;
-use privmdr_protocol::{Batch, Collector, EpochCollector, OraclePolicy, Report, SessionPlan};
+use privmdr_protocol::wire::BATCH_TAG;
+use privmdr_protocol::{
+    decode_any_stream_tagged, Batch, Collector, EpochCollector, EpochCut, MechanismTag,
+    OraclePolicy, ProtocolError, Report, SessionPlan,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,61 +99,67 @@ fn assert_same_state(a: &Collector, b: &Collector, what: &str) -> Result<(), Tes
     Ok(())
 }
 
-/// A deliberately fragmented `Buf`: the stream cut into small chunks, so
-/// `chunk().len() != remaining()` and the collector cannot take the
-/// zero-copy slice path — this is how the tests force the decode-to-`Vec`
-/// fallback. Overrides `copy_to_slice` to stitch reads across chunk
-/// boundaries (the trait's default assumes a contiguous chunk).
-struct SplitBuf(std::collections::VecDeque<Vec<u8>>);
+const TAG_MISMATCH: ProtocolError =
+    ProtocolError::Malformed("stream mechanism tag does not match the session plan");
 
-impl SplitBuf {
-    /// Fragments `bytes` into `chunk_size`-byte pieces (≥ 2 pieces
-    /// whenever the stream is long enough to split).
-    fn new(bytes: &[u8], chunk_size: usize) -> Self {
-        let chunk_size = chunk_size.max(1);
-        SplitBuf(bytes.chunks(chunk_size).map(<[u8]>::to_vec).collect())
+/// One-shot reference: decode the whole stream to a `Vec<Report>` with the
+/// owning decoder, check its tag against the plan, then `ingest_batch`.
+fn reference_one_shot(
+    collector: &mut Collector,
+    bytes: &[u8],
+    shards: usize,
+) -> Result<usize, ProtocolError> {
+    let (reports, tag) = decode_any_stream_tagged(bytes)?;
+    if tag.is_some_and(|tag| tag != collector.plan().mechanism_tag()) {
+        return Err(TAG_MISMATCH);
     }
+    collector.ingest_batch(&reports, shards)
 }
 
-impl Buf for SplitBuf {
-    fn remaining(&self) -> usize {
-        self.0.iter().map(Vec::len).sum()
-    }
-
-    fn chunk(&self) -> &[u8] {
-        self.0.front().map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    fn advance(&mut self, mut cnt: usize) {
-        assert!(cnt <= self.remaining(), "advance past end of buffer");
-        while cnt > 0 {
-            let front = self.0.front_mut().expect("checked remaining");
-            if cnt < front.len() {
-                front.drain(..cnt);
-                return;
+/// Epoch reference for a fresh collector: decode frame by frame with the
+/// owning decoders, feed `ingest_batch`, and `cut_epoch` every
+/// `epoch_every` reports, splitting frames at the boundary.
+fn reference_epochs(
+    collector: &mut EpochCollector,
+    mut bytes: &[u8],
+    shards: usize,
+    epoch_every: u64,
+    mut on_cut: impl FnMut(EpochCut),
+) -> Result<usize, ProtocolError> {
+    let expected_tag = collector.plan().mechanism_tag();
+    let mut in_flight = 0u64;
+    let mut processed = 0usize;
+    while !bytes.is_empty() {
+        let (reports, tag) = if bytes[0] == BATCH_TAG {
+            let batch = Batch::decode(&mut bytes)?;
+            (batch.reports, batch.mechanism)
+        } else {
+            let (report, tag) = Report::decode_with_tag(&mut bytes)?;
+            (vec![report], tag)
+        };
+        if tag.unwrap_or(MechanismTag::DEFAULT) != expected_tag {
+            return Err(TAG_MISMATCH);
+        }
+        let mut rest = reports.as_slice();
+        while !rest.is_empty() {
+            let take = (rest.len() as u64).min(epoch_every - in_flight) as usize;
+            collector.ingest_batch(&rest[..take], shards)?;
+            rest = &rest[take..];
+            in_flight += take as u64;
+            if in_flight == epoch_every {
+                on_cut(collector.cut_epoch()?);
+                in_flight = 0;
             }
-            cnt -= front.len();
-            self.0.pop_front();
         }
+        processed += reports.len();
     }
-
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "buffer underflow");
-        let mut at = 0;
-        while at < dst.len() {
-            let chunk = self.chunk();
-            let take = chunk.len().min(dst.len() - at);
-            dst[at..at + take].copy_from_slice(&chunk[..take]);
-            self.advance(take);
-            at += take;
-        }
-    }
+    Ok(processed)
 }
 
 proptest! {
-    /// One-shot ingestion: zero-copy slice path ≡ decode-to-`Vec` path ≡
-    /// pre-decoded `ingest_batch`, for every mechanism, framing, shard
-    /// count, and frame-size mix.
+    /// One-shot ingestion: zero-copy cursor path ≡ owning-decoder
+    /// reference ≡ pre-decoded `ingest_batch`, for every mechanism,
+    /// framing, shard count, and frame-size mix.
     #[test]
     fn one_shot_zero_copy_equals_vec_path(
         mech in 0usize..5,
@@ -165,13 +176,11 @@ proptest! {
         let bytes = encode_stream(&plan, &reports, batch_framing, frame_size, &mut rng);
 
         let mut via_slice = Collector::new(plan.clone()).unwrap();
-        let n_slice = via_slice.ingest_slice_sharded(&bytes, shards).unwrap();
+        let n_slice = via_slice.ingest_stream_sharded(&bytes, shards).unwrap();
         prop_assert_eq!(n_slice, reports.len());
 
         let mut via_vec = Collector::new(plan.clone()).unwrap();
-        let n_vec = via_vec
-            .ingest_stream_sharded(SplitBuf::new(&bytes, 7), shards)
-            .unwrap();
+        let n_vec = reference_one_shot(&mut via_vec, &bytes, shards).unwrap();
         prop_assert_eq!(n_vec, reports.len());
 
         let mut via_batch = Collector::new(plan.clone()).unwrap();
@@ -181,7 +190,8 @@ proptest! {
         assert_same_state(&via_slice, &via_batch, "slice vs pre-decoded")?;
     }
 
-    /// Truncating a valid stream anywhere: both paths reject identically
+    /// Truncating a valid stream anywhere: cursor and reference reject
+    /// identically
     /// (or both still accept a frame-aligned prefix, with identical
     /// state), never panic, and an error leaves the one-shot collector
     /// untouched.
@@ -202,10 +212,10 @@ proptest! {
         let cut_bytes = &bytes[..cut.min(bytes.len())];
 
         let mut via_slice = Collector::new(plan.clone()).unwrap();
-        let slice_result = via_slice.ingest_slice_sharded(cut_bytes, 2);
+        let slice_result = via_slice.ingest_stream_sharded(cut_bytes, 2);
 
         let mut via_vec = Collector::new(plan.clone()).unwrap();
-        let vec_result = via_vec.ingest_stream_sharded(SplitBuf::new(cut_bytes, 5), 2);
+        let vec_result = reference_one_shot(&mut via_vec, cut_bytes, 2);
 
         prop_assert_eq!(&slice_result, &vec_result, "accept/reject must agree");
         if slice_result.is_err() {
@@ -214,8 +224,8 @@ proptest! {
         assert_same_state(&via_slice, &via_vec, "truncated stream")?;
     }
 
-    /// Arbitrary byte soup: both paths agree on accept/reject and state,
-    /// and neither panics.
+    /// Arbitrary byte soup: cursor and reference agree on accept/reject
+    /// and state, and neither panics.
     #[test]
     fn garbage_never_panics_and_paths_agree(
         bytes in prop::collection::vec(any::<u8>(), 0..400),
@@ -224,18 +234,18 @@ proptest! {
     ) {
         let plan = plan_for(0, 8, seed);
         let mut via_slice = Collector::new(plan.clone()).unwrap();
-        let slice_result = via_slice.ingest_slice_sharded(&bytes, shards);
+        let slice_result = via_slice.ingest_stream_sharded(&bytes, shards);
 
         let mut via_vec = Collector::new(plan.clone()).unwrap();
-        let vec_result = via_vec.ingest_stream_sharded(SplitBuf::new(&bytes, 3), shards);
+        let vec_result = reference_one_shot(&mut via_vec, &bytes, shards);
 
         prop_assert_eq!(&slice_result, &vec_result, "accept/reject must agree");
         assert_same_state(&via_slice, &via_vec, "garbage stream")?;
     }
 
-    /// Epoch streaming: zero-copy ≡ decode-to-`Vec`, including cut
-    /// placement, per-cut report counts, cumulative state, and the
-    /// mid-stream-abort semantics when the tail is garbage.
+    /// Epoch streaming: zero-copy cursor ≡ owning-decoder reference,
+    /// including cut placement, per-cut report counts, cumulative state,
+    /// and the mid-stream-abort semantics when the tail is garbage.
     #[test]
     fn epoch_streaming_zero_copy_equals_vec_path(
         mech in 0usize..5,
@@ -258,7 +268,7 @@ proptest! {
         let mut via_slice = EpochCollector::new(plan.clone()).unwrap();
         let mut slice_cuts = Vec::new();
         let slice_result = via_slice.ingest_stream_epochs(
-            &bytes[..],
+            &bytes,
             shards,
             epoch_every,
             |cut| slice_cuts.push((cut.epoch, cut.epoch_reports, cut.total_reports)),
@@ -266,8 +276,9 @@ proptest! {
 
         let mut via_vec = EpochCollector::new(plan.clone()).unwrap();
         let mut vec_cuts = Vec::new();
-        let vec_result = via_vec.ingest_stream_epochs(
-            SplitBuf::new(&bytes, 11),
+        let vec_result = reference_epochs(
+            &mut via_vec,
+            &bytes,
             shards,
             epoch_every,
             |cut| vec_cuts.push((cut.epoch, cut.epoch_reports, cut.total_reports)),

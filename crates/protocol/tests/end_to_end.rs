@@ -28,7 +28,7 @@ fn protocol_accuracy_matches_in_process_exact_fit() {
     }
     // 17 bytes per user on the wire.
     assert_eq!(buf.len(), n * privmdr_protocol::wire::REPORT_LEN);
-    collector.ingest_stream(buf.freeze()).unwrap();
+    collector.ingest_stream_sharded(&buf, 1).unwrap();
     assert_eq!(collector.report_count(), n as u64);
     let wire_model = collector.finalize(MechanismConfig::default()).unwrap();
 

@@ -7,9 +7,10 @@
 //! addition reassociations; these properties pin that argument down so no
 //! refactor can silently weaken it to "approximately equal".
 
+use bytes::BytesMut;
 use privmdr_core::{ApproachKind, MechanismConfig};
 use privmdr_protocol::stream::{collector_state_to_bytes, decode_collector_state};
-use privmdr_protocol::{Collector, EpochCollector, OraclePolicy, Report, SessionPlan};
+use privmdr_protocol::{Batch, Collector, EpochCollector, OraclePolicy, Report, SessionPlan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -244,4 +245,46 @@ proptest! {
             single.snapshot(config).unwrap()
         );
     }
+}
+
+/// Streams `reports` as one batch frame at epoch size `epoch_every`;
+/// returns each cut's epoch size.
+fn stream_epochs(streaming: &mut EpochCollector, reports: &[Report], epoch_every: u64) -> Vec<u64> {
+    let mut wire = BytesMut::new();
+    Batch::tagged(reports.to_vec(), streaming.plan().mechanism_tag()).encode(&mut wire);
+    let mut cuts = Vec::new();
+    streaming
+        .ingest_stream_epochs(&wire, 1, epoch_every, |cut| cuts.push(cut.epoch_reports))
+        .unwrap();
+    cuts
+}
+
+/// An in-flight epoch that already holds `epoch_every` reports or more —
+/// left by an earlier call with a larger epoch size, or by `ingest_batch`
+/// — is sealed before the next streamed report lands.
+#[test]
+fn over_full_epoch_is_sealed_before_the_next_report() {
+    let plan =
+        SessionPlan::with_mechanism(1_000, 2, 8, 1.0, 3, OraclePolicy::Wheel, ApproachKind::Hdg)
+            .unwrap();
+    let reports = random_reports(&plan, 240, &mut StdRng::seed_from_u64(3));
+    let mut streaming = EpochCollector::new(plan.clone()).unwrap();
+    assert_eq!(stream_epochs(&mut streaming, &reports[..150], 100), [100]);
+    assert_eq!(
+        stream_epochs(&mut streaming, &reports[150..200], 30),
+        [50, 30]
+    );
+    assert_eq!(streaming.cut_epoch().unwrap().epoch_reports, 20);
+    streaming.ingest_batch(&reports[200..225], 1).unwrap();
+    assert_eq!(stream_epochs(&mut streaming, &reports[225..], 10), [25, 10]);
+    assert_eq!(streaming.cut_epoch().unwrap().epoch_reports, 5);
+
+    let mut one_shot = Collector::new(plan).unwrap();
+    one_shot.ingest_batch(&reports, 1).unwrap();
+    assert_same_state(
+        &one_shot,
+        &streaming.cumulative().unwrap(),
+        "over-full epochs",
+    )
+    .unwrap();
 }

@@ -127,7 +127,7 @@ fn served_session_answers_exact_golden_values_across_epoch_swaps() {
     let mut streaming = EpochCollector::new(plan).unwrap();
     let mut cuts = Vec::new();
     streaming
-        .ingest_stream_epochs(wire, 1, EPOCH_EVERY, |cut| cuts.push(cut))
+        .ingest_stream_epochs(&wire, 1, EPOCH_EVERY, |cut| cuts.push(cut))
         .unwrap();
     cuts.push(streaming.cut_epoch().unwrap());
     assert_eq!(cuts.len(), 3);

@@ -139,7 +139,7 @@ fn streamed_auto_session_answers_exact_golden_values_per_epoch() {
         let mut streaming = EpochCollector::new(plan.clone()).unwrap();
         let mut cuts = Vec::new();
         let n = streaming
-            .ingest_stream_epochs(wire.clone(), shards, EPOCH_EVERY, |cut| cuts.push(cut))
+            .ingest_stream_epochs(&wire, shards, EPOCH_EVERY, |cut| cuts.push(cut))
             .unwrap();
         assert_eq!(n, N);
         // The stream ends mid-epoch-3; seal it explicitly.

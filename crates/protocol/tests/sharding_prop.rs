@@ -205,7 +205,7 @@ proptest! {
             Batch::tagged(chunk.to_vec(), plan.mechanism_tag()).encode(&mut buf);
         }
         let mut framed = Collector::new(plan.clone()).unwrap();
-        let n = framed.ingest_stream_sharded(buf.freeze(), shards).unwrap();
+        let n = framed.ingest_stream_sharded(&buf, shards).unwrap();
         prop_assert_eq!(n, n_reports);
         assert_same_state(&serial, &framed, "auto framed stream")?;
 
@@ -258,7 +258,7 @@ proptest! {
             Batch::tagged(chunk.to_vec(), plan.mechanism_tag()).encode(&mut buf);
         }
         let mut framed = Collector::new(plan.clone()).unwrap();
-        let n = framed.ingest_stream_sharded(buf.freeze(), shards).unwrap();
+        let n = framed.ingest_stream_sharded(&buf, shards).unwrap();
         prop_assert_eq!(n, n_reports);
         assert_same_state(&serial, &framed, "wide framed stream")?;
 
@@ -297,7 +297,7 @@ proptest! {
             Batch::new(chunk.to_vec()).encode(&mut buf);
         }
         let mut framed = Collector::new(plan).unwrap();
-        let n = framed.ingest_stream_sharded(buf.freeze(), shards).unwrap();
+        let n = framed.ingest_stream_sharded(&buf, shards).unwrap();
         prop_assert_eq!(n, n_reports);
         assert_same_state(&reference, &framed, "framed stream")?;
     }

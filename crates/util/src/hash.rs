@@ -59,8 +59,8 @@ pub fn hash_to_domain(seed: u64, value: u64, domain: u64) -> u64 {
 /// folded with exact `u64` adds.
 ///
 /// This is the *reference* kernel the lane-parallel production kernel
-/// ([`support_count_lanes`]) is proven bit-identical to; hot paths should
-/// call that one instead.
+/// ([`support_count_lanes_soa`]) is proven bit-identical to; hot paths
+/// should call that one instead.
 #[inline]
 pub fn support_count(pairs: &[(u64, u64)], value: u64, domain: u64) -> u64 {
     debug_assert!(domain > 0);
@@ -84,7 +84,7 @@ pub fn support_count(pairs: &[(u64, u64)], value: u64, domain: u64) -> u64 {
 /// two AVX2 vectors (or one AVX-512 vector) of `u64` lanes.
 pub const SUPPORT_LANES: usize = 8;
 
-/// Which implementation [`support_count_lanes`] dispatches to on this
+/// Which implementation [`support_count_lanes_soa`] dispatches to on this
 /// machine. Detected once at first use and cached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelBackend {
@@ -138,126 +138,62 @@ pub fn kernel_backend() -> KernelBackend {
     }
 }
 
-/// Lane-parallel form of [`support_count`] — the production kernel.
-///
-/// Dispatches once-per-process (see [`kernel_backend`]) to the explicit
-/// AVX-512 or AVX2 path on x86-64 machines that have them, and to the
-/// portable [`SUPPORT_LANES`]-chain kernel everywhere else. All paths
-/// evaluate the *same* `mix64` and multiply-shift reduction on the same
-/// inputs and fold the per-pair `0/1` outcomes with exact `u64` adds —
-/// addition commutes, so the result is **bit-identical** to the scalar
-/// reference for every input, including every lane remainder and the empty
-/// batch. Property tests in `crates/util/tests/kernel_prop.rs` pin this
-/// down.
-#[inline]
-pub fn support_count_lanes(pairs: &[(u64, u64)], value: u64, domain: u64) -> u64 {
-    debug_assert!(domain > 0);
-    let mv = premix_value(value);
-    #[cfg(target_arch = "x86_64")]
-    match kernel_backend() {
-        // SAFETY: each SIMD backend is only ever selected after
-        // `is_x86_feature_detected!` confirmed its features on this CPU.
-        KernelBackend::Avx512 => {
-            return unsafe { avx512::support_count_premixed(pairs, mv, domain) }
-        }
-        KernelBackend::Avx2 => return unsafe { avx2::support_count_premixed(pairs, mv, domain) },
-        KernelBackend::Portable => {}
-    }
-    support_count_premixed_portable(pairs, mv, domain)
-}
-
-/// Structure-of-arrays form of [`support_count_lanes`]: the same count
-/// over parallel `seeds`/`ys` slices (`seeds[i]` paired with `ys[i]`).
+/// Lane-parallel form of [`support_count`] over parallel `seeds`/`ys`
+/// slices (`seeds[i]` paired with `ys[i]`) — the production kernel.
 ///
 /// This is the form the OLH block loop feeds: the block is transposed to
 /// SoA once, then swept `cells` times, so the SIMD backends fill all
-/// lanes with two straight vector loads instead of per-field gathers —
-/// the gather cost would otherwise dominate the whole kernel. Dispatch
-/// and the bit-identity contract are exactly [`support_count_lanes`]'s.
+/// lanes with two straight vector loads instead of per-field gathers.
+/// Dispatches once-per-process (see [`kernel_backend`]) to the explicit
+/// AVX-512 or AVX2 body on x86-64 machines that have them, and to the
+/// portable [`SUPPORT_LANES`]-chain body everywhere else. All bodies
+/// evaluate the *same* `mix64` and multiply-shift reduction on the same
+/// inputs and fold the per-pair `0/1` outcomes with exact `u64` adds —
+/// addition commutes, so the result is **bit-identical** to the scalar
+/// reference for every input, including every lane remainder and the
+/// empty batch. Property tests in `crates/util/tests/kernel_prop.rs` pin
+/// this down.
 ///
-/// Both slices must have the same length.
+/// # Panics
+///
+/// Panics if the slices differ in length.
 #[inline]
 pub fn support_count_lanes_soa(seeds: &[u64], ys: &[u64], value: u64, domain: u64) -> u64 {
     debug_assert!(domain > 0);
     assert_eq!(seeds.len(), ys.len(), "SoA slices must pair up");
-    let mv = premix_value(value);
     #[cfg(target_arch = "x86_64")]
-    match kernel_backend() {
-        // SAFETY: each SIMD backend is only ever selected after
-        // `is_x86_feature_detected!` confirmed its features on this CPU.
-        KernelBackend::Avx512 => {
-            return unsafe { avx512::support_count_premixed_soa(seeds, ys, mv, domain) }
-        }
-        KernelBackend::Avx2 => {
-            return unsafe { avx2::support_count_premixed_soa(seeds, ys, mv, domain) }
-        }
-        KernelBackend::Portable => {}
-    }
-    support_count_premixed_portable_soa(seeds, ys, mv, domain)
-}
-
-/// Portable lane kernel, exposed so the equivalence tests can exercise it
-/// even on machines where dispatch picks a SIMD backend. Bit-identical to
-/// [`support_count`].
-pub fn support_count_portable(pairs: &[(u64, u64)], value: u64, domain: u64) -> u64 {
-    debug_assert!(domain > 0);
-    support_count_premixed_portable(pairs, premix_value(value), domain)
-}
-
-/// Explicit AVX2 kernel, exposed so the equivalence tests can exercise it
-/// directly; `None` when the CPU lacks AVX2. Bit-identical to
-/// [`support_count`].
-#[cfg(target_arch = "x86_64")]
-pub fn support_count_avx2(pairs: &[(u64, u64)], value: u64, domain: u64) -> Option<u64> {
-    debug_assert!(domain > 0);
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just verified.
-        Some(unsafe { avx2::support_count_premixed(pairs, premix_value(value), domain) })
-    } else {
-        None
-    }
-}
-
-/// Explicit AVX-512 kernel, exposed so the equivalence tests can exercise
-/// it directly; `None` when the CPU lacks AVX-512F/DQ. Bit-identical to
-/// [`support_count`].
-#[cfg(target_arch = "x86_64")]
-pub fn support_count_avx512(pairs: &[(u64, u64)], value: u64, domain: u64) -> Option<u64> {
-    debug_assert!(domain > 0);
-    if std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512dq")
     {
-        // SAFETY: AVX-512F and AVX-512DQ presence was just verified.
-        Some(unsafe { avx512::support_count_premixed(pairs, premix_value(value), domain) })
-    } else {
-        None
-    }
-}
-
-/// The portable lane kernel body: [`SUPPORT_LANES`] independent accumulator
-/// chains over `chunks_exact(SUPPORT_LANES)`, scalar tail. Written as a
-/// fixed-width array sweep so LLVM autovectorizes the whole iteration
-/// (loads, mix, reduce, compare, add) without any target-specific code.
-#[inline]
-fn support_count_premixed_portable(pairs: &[(u64, u64)], mv: u64, domain: u64) -> u64 {
-    let mut lanes = [0u64; SUPPORT_LANES];
-    let mut chunks = pairs.chunks_exact(SUPPORT_LANES);
-    for chunk in chunks.by_ref() {
-        for (acc, &(seed, y)) in lanes.iter_mut().zip(chunk) {
-            *acc += u64::from(reduce_to_domain(mix64(seed ^ mv), domain) == y);
+        let mv = premix_value(value);
+        match kernel_backend() {
+            // SAFETY: each SIMD backend is only ever selected after
+            // `is_x86_feature_detected!` confirmed its features on this CPU.
+            KernelBackend::Avx512 => {
+                return unsafe { avx512::support_count_premixed_soa(seeds, ys, mv, domain) }
+            }
+            KernelBackend::Avx2 => {
+                return unsafe { avx2::support_count_premixed_soa(seeds, ys, mv, domain) }
+            }
+            KernelBackend::Portable => {}
         }
     }
-    let mut total: u64 = lanes.iter().sum();
-    for &(seed, y) in chunks.remainder() {
-        total += u64::from(reduce_to_domain(mix64(seed ^ mv), domain) == y);
-    }
-    total
+    support_count_soa_portable(seeds, ys, value, domain)
 }
 
-/// SoA twin of [`support_count_premixed_portable`]: the same
-/// [`SUPPORT_LANES`]-chain sweep over parallel slices.
+/// The portable SoA body: [`SUPPORT_LANES`] independent accumulator chains
+/// over `chunks_exact(SUPPORT_LANES)`, scalar tail, written as a
+/// fixed-width array sweep so LLVM autovectorizes the whole iteration
+/// without target-specific code. Public so the equivalence tests can run
+/// it on machines where dispatch picks a SIMD body. Bit-identical to
+/// [`support_count`].
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
 #[inline]
-fn support_count_premixed_portable_soa(seeds: &[u64], ys: &[u64], mv: u64, domain: u64) -> u64 {
+pub fn support_count_soa_portable(seeds: &[u64], ys: &[u64], value: u64, domain: u64) -> u64 {
+    debug_assert!(domain > 0);
+    assert_eq!(seeds.len(), ys.len(), "SoA slices must pair up");
+    let mv = premix_value(value);
     let mut lanes = [0u64; SUPPORT_LANES];
     let mut seed_chunks = seeds.chunks_exact(SUPPORT_LANES);
     let mut y_chunks = ys.chunks_exact(SUPPORT_LANES);
@@ -273,6 +209,45 @@ fn support_count_premixed_portable_soa(seeds: &[u64], ys: &[u64], mv: u64, domai
     total
 }
 
+/// The explicit AVX2 SoA body; `None` when the CPU lacks AVX2. Public so
+/// the equivalence tests can run it on AVX-512 machines too.
+/// Bit-identical to [`support_count`].
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub fn support_count_soa_avx2(seeds: &[u64], ys: &[u64], value: u64, domain: u64) -> Option<u64> {
+    debug_assert!(domain > 0);
+    assert_eq!(seeds.len(), ys.len(), "SoA slices must pair up");
+    // SAFETY: the body runs only once AVX2 presence is verified, and the
+    // slices pair up.
+    std::arch::is_x86_feature_detected!("avx2").then(|| unsafe {
+        avx2::support_count_premixed_soa(seeds, ys, premix_value(value), domain)
+    })
+}
+
+/// The explicit AVX-512 SoA body; `None` when the CPU lacks AVX-512F/DQ.
+/// Bit-identical to [`support_count`].
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub fn support_count_soa_avx512(seeds: &[u64], ys: &[u64], value: u64, domain: u64) -> Option<u64> {
+    debug_assert!(domain > 0);
+    assert_eq!(seeds.len(), ys.len(), "SoA slices must pair up");
+    let present = std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq");
+    // SAFETY: the body runs only once AVX-512F and AVX-512DQ presence is
+    // verified, and the slices pair up.
+    present.then(|| unsafe {
+        avx512::support_count_premixed_soa(seeds, ys, premix_value(value), domain)
+    })
+}
+
 /// Explicit AVX2 support kernel: 4 independent mix chains per 256-bit
 /// vector of `u64` lanes.
 ///
@@ -286,7 +261,6 @@ fn support_count_premixed_portable_soa(seeds: &[u64], ys: &[u64], mv: u64, domai
 /// `u64` lane counts — commutative, so lane order cannot change the total.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
     /// Low 64 bits of a 64×64-bit lane multiply (`wrapping_mul` per lane).
@@ -312,45 +286,7 @@ mod avx2 {
         _mm256_xor_si256(x, _mm256_srli_epi64(x, 31))
     }
 
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support on the running CPU.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn support_count_premixed(pairs: &[(u64, u64)], mv: u64, domain: u64) -> u64 {
-        let vmv = _mm256_set1_epi64x(mv as i64);
-        let inc = _mm256_set1_epi64x(0x9E37_79B9_7F4A_7C15_u64 as i64);
-        let m1 = _mm256_set1_epi64x(0xBF58_476D_1CE4_E5B9_u64 as i64);
-        let m2 = _mm256_set1_epi64x(0x94D0_49BB_1331_11EB_u64 as i64);
-        let dom = _mm256_set1_epi64x(domain as i64);
-        let mut acc = _mm256_setzero_si256();
-        let mut quads = pairs.chunks_exact(4);
-        for q in quads.by_ref() {
-            // Field-indexed gathers keep the load layout-independent of
-            // the tuple's memory representation; LLVM lowers consecutive
-            // pairs to vector loads + unpacks under this target feature.
-            let seeds =
-                _mm256_set_epi64x(q[3].0 as i64, q[2].0 as i64, q[1].0 as i64, q[0].0 as i64);
-            let ys = _mm256_set_epi64x(q[3].1 as i64, q[2].1 as i64, q[1].1 as i64, q[0].1 as i64);
-            let h = mix64_x4(_mm256_xor_si256(seeds, vmv), inc, m1, m2);
-            // reduce_to_domain: ((h >> 32) wrapping_mul domain) >> 32. The
-            // shifted hash has zero high bits, so mul64_lo is the exact
-            // wrapping product for any 64-bit domain.
-            let r = _mm256_srli_epi64(mul64_lo(_mm256_srli_epi64(h, 32), dom), 32);
-            // Matching lanes compare to all-ones (-1): subtracting the mask
-            // adds exactly 1 per match.
-            acc = _mm256_sub_epi64(acc, _mm256_cmpeq_epi64(r, ys));
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), acc);
-        let mut total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-        for &(seed, y) in quads.remainder() {
-            total += u64::from(super::reduce_to_domain(super::mix64(seed ^ mv), domain) == y);
-        }
-        total
-    }
-
-    /// SoA twin of [`support_count_premixed`]: lanes fill with straight
-    /// 256-bit loads from the parallel slices — no per-field gathers.
+    /// Lanes fill with straight 256-bit loads from the parallel slices.
     ///
     /// # Safety
     ///
@@ -403,7 +339,6 @@ mod avx2 {
 /// lane order cannot change the total.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
     /// Eight-lane `mix64` with the multiplier/increment constants already
@@ -417,57 +352,7 @@ mod avx512 {
         _mm512_xor_si512(x, _mm512_srli_epi64(x, 31))
     }
 
-    /// # Safety
-    ///
-    /// The caller must have verified AVX-512F and AVX-512DQ support on the
-    /// running CPU.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    pub(super) unsafe fn support_count_premixed(pairs: &[(u64, u64)], mv: u64, domain: u64) -> u64 {
-        let vmv = _mm512_set1_epi64(mv as i64);
-        let inc = _mm512_set1_epi64(0x9E37_79B9_7F4A_7C15_u64 as i64);
-        let m1 = _mm512_set1_epi64(0xBF58_476D_1CE4_E5B9_u64 as i64);
-        let m2 = _mm512_set1_epi64(0x94D0_49BB_1331_11EB_u64 as i64);
-        let dom = _mm512_set1_epi64(domain as i64);
-        let mut total = 0u64;
-        let mut octets = pairs.chunks_exact(8);
-        for q in octets.by_ref() {
-            // Field-indexed gathers keep the load layout-independent of
-            // the tuple's memory representation (same scheme as the AVX2
-            // path); the arguments run high lane to low.
-            let seeds = _mm512_set_epi64(
-                q[7].0 as i64,
-                q[6].0 as i64,
-                q[5].0 as i64,
-                q[4].0 as i64,
-                q[3].0 as i64,
-                q[2].0 as i64,
-                q[1].0 as i64,
-                q[0].0 as i64,
-            );
-            let ys = _mm512_set_epi64(
-                q[7].1 as i64,
-                q[6].1 as i64,
-                q[5].1 as i64,
-                q[4].1 as i64,
-                q[3].1 as i64,
-                q[2].1 as i64,
-                q[1].1 as i64,
-                q[0].1 as i64,
-            );
-            let h = mix64_x8(_mm512_xor_si512(seeds, vmv), inc, m1, m2);
-            // reduce_to_domain: ((h >> 32) wrapping_mul domain) >> 32 —
-            // mullo is exactly the wrapping product.
-            let r = _mm512_srli_epi64(_mm512_mullo_epi64(_mm512_srli_epi64(h, 32), dom), 32);
-            total += u64::from(_mm512_cmpeq_epi64_mask(r, ys).count_ones());
-        }
-        for &(seed, y) in octets.remainder() {
-            total += u64::from(super::reduce_to_domain(super::mix64(seed ^ mv), domain) == y);
-        }
-        total
-    }
-
-    /// SoA twin of [`support_count_premixed`]: lanes fill with straight
-    /// 512-bit loads from the parallel slices — no per-field gathers.
+    /// Lanes fill with straight 512-bit loads from the parallel slices.
     ///
     /// # Safety
     ///
