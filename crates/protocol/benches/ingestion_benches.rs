@@ -2,8 +2,8 @@
 //! serial path and the sharded path at increasing shard counts, a
 //! micro-bench sweep of the block-transposed OLH support kernel (batched
 //! vs per-report at c ∈ {64, 256, 1024} × batch lengths), the end-to-end
-//! wire→counters cost of the zero-copy cursor path, plus the wire decode
-//! cost of the two framings.
+//! wire→counters cost of the zero-copy cursor path, plus the owning batch
+//! decoder's cost.
 //!
 //! The headline number is `ingest/shards=K` on the 256-cell grid: the
 //! support-counting pass is O(cells) per report and embarrassingly
@@ -156,7 +156,7 @@ fn bench_epoch_streaming(c: &mut Criterion) {
     let reports = synthetic_reports(n);
     let mut wire = bytes::BytesMut::new();
     for chunk in reports.chunks(10_000) {
-        Batch::new(chunk.to_vec()).encode(&mut wire);
+        Batch::tagged(chunk.to_vec(), plan.mechanism_tag()).encode(&mut wire);
     }
     let wire = wire.freeze();
 
@@ -224,7 +224,7 @@ fn bench_wire_ingest(c: &mut Criterion) {
     let reports = synthetic_reports(n);
     let mut wire = bytes::BytesMut::new();
     for chunk in reports.chunks(10_000) {
-        Batch::new(chunk.to_vec()).encode(&mut wire);
+        Batch::tagged(chunk.to_vec(), plan.mechanism_tag()).encode(&mut wire);
     }
     let wire = wire.freeze();
 
@@ -244,26 +244,18 @@ fn bench_wire_ingest(c: &mut Criterion) {
 
 fn bench_wire_decode(c: &mut Criterion) {
     let n = 50_000usize;
+    let tag = plan_with_cells(256).mechanism_tag();
     let reports = synthetic_reports(n);
     let mut group = c.benchmark_group("wire_decode");
     group.throughput(Throughput::Elements(n as u64));
 
-    let mut legacy = bytes::BytesMut::new();
-    for r in &reports {
-        r.encode(&mut legacy);
-    }
-    let legacy = legacy.freeze();
-    group.bench_function("legacy_17B", |b| {
-        b.iter(|| black_box(Report::decode_stream(legacy.clone())).unwrap())
-    });
-
     let mut batched = bytes::BytesMut::new();
     for chunk in reports.chunks(10_000) {
-        Batch::new(chunk.to_vec()).encode(&mut batched);
+        Batch::tagged(chunk.to_vec(), tag).encode(&mut batched);
     }
     let batched = batched.freeze();
     group.bench_function("batch_16B", |b| {
-        b.iter(|| black_box(Batch::decode_stream(batched.clone())).unwrap())
+        b.iter(|| black_box(Batch::decode_stream_tagged(batched.clone())).unwrap())
     });
     group.finish();
 }

@@ -13,13 +13,14 @@
 //!   whichever `privmdr_oracles::FrequencyOracle` the plan's policy selects
 //!   for the client's group ([`client::ClientFactory`] hoists the per-group
 //!   oracle construction when stamping out many clients).
-//! * [`wire`] — a compact binary encoding of reports (17 bytes standalone,
-//!   16 inside a length-prefixed [`wire::Batch`] frame; +2/+1 bytes for the
-//!   version-2 frames carrying a [`wire::MechanismTag`] oracle/approach
-//!   discriminant), built on `bytes` (justification for the dependency:
-//!   zero-copy buffer management for the report stream).
+//! * [`wire`] — a compact binary encoding of reports: length-prefixed
+//!   [`wire::Batch`] frames whose 8-byte header carries the session's
+//!   [`wire::MechanismTag`] oracle/approach discriminant, then 16 bytes per
+//!   report (20 for the float-carrying oracles), built on `bytes`
+//!   (justification for the dependency: zero-copy buffer management for
+//!   the report stream).
 //! * [`cursor`] — zero-copy ingestion: a borrowing [`cursor::FrameCursor`]
-//!   that validates frames exactly like the [`wire`] decoders but yields
+//!   that validates frames exactly like [`wire::Batch::decode`] but yields
 //!   `(seed, y)` pairs straight from the input buffer, so contiguous
 //!   streams reach the support kernel without materializing a
 //!   `Vec<Report>`.
@@ -78,8 +79,8 @@ pub use stream::{
     EpochCut,
 };
 pub use wire::{
-    decode_any_stream, decode_any_stream_tagged, decode_snapshot, encode_snapshot,
-    snapshot_to_bytes, AnswerBatch, Batch, MechanismTag, QueryBatch, Report,
+    decode_snapshot, encode_snapshot, snapshot_to_bytes, AnswerBatch, Batch, MechanismTag,
+    QueryBatch, Report,
 };
 
 // Re-exported so protocol consumers can name the plan's mechanism knobs

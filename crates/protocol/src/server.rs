@@ -91,6 +91,11 @@ fn split_frame_runs<'a>(frames: &[ReportFrame<'a>], shards: usize) -> Vec<Vec<Re
     runs
 }
 
+/// Exclusive upper bound on every report count and support counter that
+/// [`Collector::merge`] or a `CollectorState` decode may leave behind.
+/// Half the `u64` range stays free for honest ingestion.
+pub(crate) const COUNT_LIMIT: u64 = 1 << 63;
+
 /// Per-group streaming state: the group's frequency oracle (selected by
 /// the plan's policy) plus its support counters. All accumulation and
 /// estimation goes through the [`FrequencyOracle`] trait — for OLH groups
@@ -176,11 +181,9 @@ impl Collector {
         Ok(())
     }
 
-    /// Ingests a raw wire buffer — legacy concatenated reports or
-    /// length-prefixed [`crate::wire::Batch`] frames, tagged or untagged,
-    /// auto-detected — across `shards` parallel shard accumulators;
-    /// returns how many reports were processed. `shards = 1` is the
-    /// serial path.
+    /// Ingests a raw wire buffer of [`crate::wire::Batch`] frames across
+    /// `shards` parallel shard accumulators; returns how many reports were
+    /// processed. `shards = 1` is the serial path.
     ///
     /// The frames are walked with a borrowing [`FrameCursor`] and the
     /// `(seed, y)` pairs reach the support kernel straight from `bytes`,
@@ -188,8 +191,7 @@ impl Collector {
     /// (framing, mechanism tag, group indices) before any counter moves,
     /// so an error leaves the collector untouched. A stream whose
     /// mechanism tag disagrees with the session plan — e.g.
-    /// GRR-randomized reports arriving at an OLH session — is rejected
-    /// (untagged frames imply OLH/HDG).
+    /// GRR-randomized reports arriving at an OLH session — is rejected.
     pub fn ingest_stream_sharded(
         &mut self,
         bytes: &[u8],
@@ -326,41 +328,69 @@ impl Collector {
     /// approach); the merge is then exact by construction — support
     /// counters are sums of per-report `u64` increments and `u64` adds
     /// commute, so a K-way split merged in any order is bit-identical to
-    /// one collector having seen every report. On a plan mismatch the
-    /// error leaves `self` untouched.
+    /// one collector having seen every report.
     ///
-    /// Counter additions saturate rather than wrap: honest populations sit
-    /// astronomically far below `u64::MAX` (saturation is unreachable, so
-    /// the bit-identity contract is unaffected), but a hostile
-    /// [`crate::stream`] state frame claiming near-`u64::MAX` counts must
-    /// not be able to panic a debug-build collector.
+    /// A merge that would leave any report count or support counter at or
+    /// above 2⁶³ is refused. Honest populations sit astronomically far
+    /// below it, so the bit-identity contract is unaffected, while the
+    /// headroom above it means the ingest paths' plain `u64` adds cannot
+    /// overflow after any accepted merge — however large the counts a
+    /// hostile [`crate::stream`] state frame claims. On either error
+    /// `self` is untouched.
     pub fn merge(&mut self, other: &Collector) -> Result<(), ProtocolError> {
         if self.plan != other.plan {
             return Err(ProtocolError::BadPlan(
                 "cannot merge collectors with different session plans".into(),
             ));
         }
+        let fits = |a: u64, b: u64| a.checked_add(b).is_some_and(|sum| sum < COUNT_LIMIT);
+        let all_fit = fits(self.total_reports, other.total_reports)
+            && self.groups.iter().zip(&other.groups).all(|(dst, src)| {
+                fits(dst.reports, src.reports)
+                    && dst
+                        .supports
+                        .iter()
+                        .zip(&src.supports)
+                        .all(|(&d, &s)| fits(d, s))
+            });
+        if !all_fit {
+            return Err(ProtocolError::Malformed("merged counts reach 2^63"));
+        }
         for (dst, src) in self.groups.iter_mut().zip(&other.groups) {
             for (d, s) in dst.supports.iter_mut().zip(&src.supports) {
-                *d = d.saturating_add(*s);
+                *d += s;
             }
-            dst.reports = dst.reports.saturating_add(src.reports);
+            dst.reports += src.reports;
         }
-        self.total_reports = self.total_reports.saturating_add(other.total_reports);
+        self.total_reports += other.total_reports;
         Ok(())
     }
 
-    /// Adds raw per-group counters decoded from a wire state frame
-    /// (`crate::stream`). The caller has already validated the group index
-    /// and counter length against the plan.
-    pub(crate) fn load_group_state(&mut self, group: usize, supports: &[u64], reports: u64) {
+    /// Installs one group's raw counters, decoded from a wire state frame
+    /// (`crate::stream`), into this freshly built collector. Counts at or
+    /// above 2⁶³ are refused, as [`Self::merge`] refuses them. The caller
+    /// has validated the group index and counter length against the plan.
+    pub(crate) fn load_group_state(
+        &mut self,
+        group: usize,
+        supports: Vec<u64>,
+        reports: u64,
+    ) -> Result<(), ProtocolError> {
+        let total = self
+            .total_reports
+            .checked_add(reports)
+            .filter(|&total| total < COUNT_LIMIT);
+        let (Some(total), true) = (total, supports.iter().all(|&s| s < COUNT_LIMIT)) else {
+            return Err(ProtocolError::Malformed(
+                "collector state counts reach 2^63",
+            ));
+        };
         let acc = &mut self.groups[group];
         debug_assert_eq!(acc.supports.len(), supports.len());
-        for (d, s) in acc.supports.iter_mut().zip(supports) {
-            *d = d.saturating_add(*s);
-        }
-        acc.reports = acc.reports.saturating_add(reports);
-        self.total_reports = self.total_reports.saturating_add(reports);
+        acc.supports = supports;
+        acc.reports = reports;
+        self.total_reports = total;
+        Ok(())
     }
 
     /// Unbiases each group's counters into the session's per-attribute
@@ -456,6 +486,7 @@ impl Collector {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::wire::Batch;
     use bytes::BytesMut;
     use privmdr_util::rng::derive_rng;
 
@@ -479,14 +510,14 @@ mod tests {
         let plan = SessionPlan::new(1000, 3, 16, 1.0, 2).unwrap();
         let mut collector = Collector::new(plan.clone()).unwrap();
         let mut rng = derive_rng(9, &[0]);
+        let reports: Vec<Report> = (0..500u64)
+            .map(|uid| {
+                let client = Client::new(&plan, uid).unwrap();
+                client.report(&[1, 5, 9], &mut rng).unwrap()
+            })
+            .collect();
         let mut buf = BytesMut::new();
-        for uid in 0..500u64 {
-            let client = Client::new(&plan, uid).unwrap();
-            client
-                .report(&[1, 5, 9], &mut rng)
-                .unwrap()
-                .encode(&mut buf);
-        }
+        Batch::tagged(reports, plan.mechanism_tag()).encode(&mut buf);
         let ingested = collector.ingest_stream_sharded(&buf, 1).unwrap();
         assert_eq!(ingested, 500);
         assert_eq!(collector.report_count(), 500);
@@ -549,7 +580,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_stream_matches_legacy_stream() {
+    fn batched_stream_matches_decoded_batch() {
         let plan = SessionPlan::new(2_000, 3, 16, 1.0, 8).unwrap();
         let mut rng = derive_rng(33, &[0]);
         let reports: Vec<Report> = (0..2_000u64)
@@ -561,24 +592,18 @@ mod tests {
             })
             .collect();
 
-        let mut legacy_buf = BytesMut::new();
-        for r in &reports {
-            r.encode(&mut legacy_buf);
-        }
         let mut batch_buf = BytesMut::new();
         for chunk in reports.chunks(700) {
-            crate::wire::Batch::new(chunk.to_vec()).encode(&mut batch_buf);
+            Batch::tagged(chunk.to_vec(), plan.mechanism_tag()).encode(&mut batch_buf);
         }
-        // Batch framing saves the per-report version byte.
-        assert!(batch_buf.len() < legacy_buf.len());
 
-        let mut via_legacy = Collector::new(plan.clone()).unwrap();
-        via_legacy.ingest_stream_sharded(&legacy_buf, 1).unwrap();
+        let mut via_decoded = Collector::new(plan.clone()).unwrap();
+        via_decoded.ingest_batch(&reports, 1).unwrap();
         let mut via_batches = Collector::new(plan.clone()).unwrap();
         via_batches.ingest_stream_sharded(&batch_buf, 4).unwrap();
         for g in 0..plan.group_count() as u32 {
             assert_eq!(
-                via_legacy.group_state(g).unwrap(),
+                via_decoded.group_state(g).unwrap(),
                 via_batches.group_state(g).unwrap()
             );
         }
@@ -639,7 +664,7 @@ mod tests {
             5
         ];
         let mut buf = BytesMut::new();
-        crate::wire::Batch::tagged(
+        Batch::tagged(
             reports,
             crate::wire::MechanismTag {
                 oracle: OraclePolicy::Grr,

@@ -48,7 +48,9 @@
 //! touching the destination, so malformed input always leaves the
 //! destination collector untouched. All counters travel as raw `u64` LE —
 //! the merge is integer addition, so round-tripping through the wire loses
-//! nothing.
+//! nothing. A frame claiming a report count or support counter at or
+//! above 2⁶³ is refused on decode, and so is a merge whose sums would
+//! reach it, so a hostile count can never overflow a later ingest.
 
 use crate::plan::SessionPlan;
 use crate::server::Collector;
@@ -132,7 +134,7 @@ pub fn collector_state_to_bytes(collector: &Collector) -> Bytes {
 /// rebuilt plan's geometry *before* any counter vector is allocated — a
 /// lying header cannot buy memory, and truncated, corrupted, or
 /// tag-conflicting input always surfaces as a [`ProtocolError`], never a
-/// panic.
+/// panic. Counts at or above 2⁶³ (see [`Collector::merge`]) are refused.
 pub fn decode_collector_state(buf: &mut impl Buf) -> Result<Collector, ProtocolError> {
     if buf.remaining() < COLLECTOR_STATE_HEADER_LEN {
         return Err(ProtocolError::Malformed("truncated collector-state header"));
@@ -195,7 +197,7 @@ pub fn decode_collector_state(buf: &mut impl Buf) -> Result<Collector, ProtocolE
             ));
         }
         let supports: Vec<u64> = (0..cells).map(|_| buf.get_u64_le()).collect();
-        collector.load_group_state(g, &supports, reports);
+        collector.load_group_state(g, supports, reports)?;
     }
     Ok(collector)
 }
@@ -328,10 +330,10 @@ impl EpochCollector {
         self.cumulative()?.snapshot(self.config)
     }
 
-    /// Ingests a raw wire buffer (either framing, tagged or untagged)
-    /// frame by frame, sealing an epoch every `epoch_every` reports —
-    /// epoch boundaries split wire frames exactly, so a batch straddling
-    /// a boundary lands in both epochs precisely where the cut falls.
+    /// Ingests a raw wire buffer of [`crate::wire::Batch`] frames one frame
+    /// at a time, sealing an epoch every `epoch_every` reports — epoch
+    /// boundaries split wire frames exactly, so a batch straddling a
+    /// boundary lands in both epochs precisely where the cut falls.
     /// `on_cut` receives each [`EpochCut`] as it happens. Returns how many
     /// reports were processed. An in-flight epoch that already holds
     /// `epoch_every` reports or more (left by [`Self::ingest_batch`] or an
@@ -360,7 +362,7 @@ impl EpochCollector {
             ));
         }
         let expected_tag = self.plan().mechanism_tag();
-        let mut cursor = crate::cursor::FrameCursor::mixed(bytes);
+        let mut cursor = crate::cursor::FrameCursor::new(bytes);
         let mut processed = 0usize;
         while let Some(frame) = cursor.next_frame()? {
             if frame.tag() != expected_tag {
@@ -504,7 +506,7 @@ mod tests {
         // Frame sizes deliberately misaligned with the epoch size.
         let mut buf = BytesMut::new();
         for chunk in reports.chunks(700) {
-            Batch::new(chunk.to_vec()).encode(&mut buf);
+            Batch::tagged(chunk.to_vec(), plan.mechanism_tag()).encode(&mut buf);
         }
 
         let mut streaming = EpochCollector::new(plan.clone()).unwrap();

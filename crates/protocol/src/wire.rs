@@ -1,64 +1,37 @@
-//! Binary wire format for client reports.
+//! Binary wire format for client reports and the query-serving frames.
 //!
-//! One standalone report is exactly 17 bytes:
-//!
-//! ```text
-//! +--------+----------------+----------------------+-----------+
-//! | ver:u8 | group: u32 LE  | hash seed: u64 LE    | y: u32 LE |
-//! +--------+----------------+----------------------+-----------+
-//! ```
-//!
-//! `seed` identifies the user's OLH hash function and `y` is the
-//! GRR-randomized hashed value — together the complete (and only) content
-//! of an OLH report (paper §2.2). Everything else (ε, grid geometry) is
-//! public plan state, so it never travels with the report.
-//!
-//! At collection scale (~10⁶ users) reports arrive in bulk, so the format
-//! also defines a length-prefixed [`Batch`] frame that amortizes the
-//! version byte and lets the server hand a whole slab of reports to the
-//! sharded ingestion path in one decode:
+//! An OLH report is exactly `(seed, y)`: `seed` identifies the user's OLH
+//! hash function and `y` is the GRR-randomized hashed value (paper §2.2).
+//! Everything else (ε, grid geometry) is public plan state, so it never
+//! travels with the report. Reports travel only inside length-prefixed
+//! [`Batch`] frames, which carry the session's [`MechanismTag`] — its
+//! oracle policy and estimation approach — once per frame and hand a whole
+//! slab of reports to the sharded ingestion path in one decode:
 //!
 //! ```text
-//! +-----------+--------+--------------+  count × 16-byte bodies
-//! | tag: 0xB1 | ver:u8 | count:u32 LE |  (group, seed, y — no version)
-//! +-----------+--------+--------------+
+//! +-----------+--------+-----------+-------------+--------------+
+//! | tag: 0xB1 | ver:u8 | oracle:u8 | approach:u8 | count:u32 LE |  count × body
+//! +-----------+--------+-----------+-------------+--------------+
 //! ```
 //!
-//! The tag byte `0xB1` can never open a standalone report (whose first
-//! byte is [`WIRE_VERSION`]), so a stream of frames is self-describing:
-//! the decoder peeks one byte to tell the two framings apart.
+//! The version byte fixes the body width, and the oracle fixes the
+//! version:
 //!
-//! # Mechanism discriminant (wire version 2)
+//! | version | oracles          | body (all LE)                         | body |
+//! |---------|------------------|---------------------------------------|------|
+//! | 2       | GRR, OLH, Auto   | `group:u32, seed:u64, y:u32`          | 16 B |
+//! | 3       | Wheel, SW        | `group:u32, seed:u64, y:u64` (f64 bits) | 20 B |
 //!
-//! Sessions are no longer hardwired to OLH/HDG, so the report-carrying
-//! frames gain a version-2 form that carries a [`MechanismTag`] — the
-//! session's oracle policy and estimation approach — right after the
-//! version byte. Version-1 frames remain decodable and *imply* the
-//! default tag (OLH/HDG), so pre-existing streams keep their meaning;
-//! encoders emit version 1 whenever the tag is the default, keeping the
-//! OLH/HDG byte stream bit-identical to earlier releases. A standalone
-//! tagged report is 19 bytes (`ver:2, oracle:u8, approach:u8, body`); a
-//! tagged batch header is 8 bytes (`0xB1, ver:2, oracle:u8, approach:u8,
-//! count:u32`). Decoders reject unknown discriminant values, and the
-//! tagged stream decoders additionally reject streams whose frames
-//! disagree with each other — the collector then checks the stream's tag
-//! against its plan, so a GRR stream can never be mis-aggregated by an
-//! OLH session (or vice versa).
-//!
-//! # Wide reports (wire version 3)
-//!
-//! The Wheel and Square Wave oracles report a *float* — Wheel's `(seed,
-//! y ∈ [0,1))` pair, SW's padded-interval sample — so their `y` travels
-//! as the full 8 IEEE-754 bits rather than the 4-byte integer the
-//! GRR/OLH bodies carry. Frames whose [`MechanismTag`] names a
-//! float-carrying oracle use wire version 3: the same header layout as
-//! version 2 (so a wide batch header is still 8 bytes) followed by
-//! 20-byte bodies (`group:u32, seed:u64, y:u64 LE`); a standalone wide
-//! report is 23 bytes. The pairing of tag and width is enforced in both
-//! directions — a wheel/sw discriminant inside a version-1/2 frame and a
-//! grr/olh/auto discriminant inside a version-3 frame are both rejected —
-//! so every byte stream has exactly one valid framing, and version-1/2
-//! streams keep decoding byte-identically to earlier releases.
+//! Wheel's `(seed, y ∈ [0,1))` pair and SW's padded-interval sample are
+//! floats, so their `y` travels as the full 8 IEEE-754 bits. The pairing of
+//! tag and width is enforced in both directions — a Wheel/SW discriminant
+//! inside a version-2 frame and a GRR/OLH/Auto discriminant inside a
+//! version-3 frame are both rejected — so every byte stream has exactly one
+//! valid framing. Decoders reject unknown discriminants and any other
+//! version byte, and the stream decoder rejects streams whose frames
+//! disagree on the tag; the collector then checks the stream's tag against
+//! its plan, so a GRR stream can never be mis-aggregated by an OLH session
+//! (or vice versa).
 //!
 //! # Query-serving frames
 //!
@@ -67,15 +40,17 @@
 //! validated against the actual payload before any allocation; malformed
 //! bytes always surface as [`ProtocolError`], never a panic):
 //!
-//! * **Snapshot** (tag `0xC5`) — a finalized `privmdr_core` fit
-//!   ([`ModelSnapshot`]): geometry + estimation settings header, then the
-//!   post-processed grid frequencies as raw `f64` bits (exact round-trip).
-//! * **[`QueryBatch`]** (tag `0xD7`) — a batch of λ-dimensional range
-//!   queries over a shared domain `c`; each query is λ `(attr, lo, hi)`
-//!   predicates and is re-validated through `RangeQuery`'s own invariants
-//!   on decode.
-//! * **[`AnswerBatch`]** (tag `0xA7`) — the matching answers as raw `f64`
-//!   bits, in query order.
+//! * **Snapshot** (tag `0xC5`, version 2) — a finalized `privmdr_core` fit
+//!   ([`ModelSnapshot`]): a [`SNAPSHOT_HEADER_LEN`]-byte header (approach
+//!   discriminant, geometry, estimation settings), then the post-processed
+//!   frequency vectors the approach keeps as raw `f64` bits (exact
+//!   round-trip).
+//! * **[`QueryBatch`]** (tag `0xD7`, version 1) — a batch of λ-dimensional
+//!   range queries over a shared domain `c`; each query is λ `(attr, lo,
+//!   hi)` predicates and is re-validated through `RangeQuery`'s own
+//!   invariants on decode.
+//! * **[`AnswerBatch`]** (tag `0xA7`, version 1) — the matching answers as
+//!   raw `f64` bits, in query order.
 
 use crate::ProtocolError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -86,35 +61,24 @@ use privmdr_grid::pairs::pair_count;
 use privmdr_oracles::OraclePolicy;
 use privmdr_query::{Predicate, RangeQuery};
 
-/// Wire protocol version byte (untagged frames: OLH/HDG implied).
+/// Wire version byte of the query and answer frames.
 pub const WIRE_VERSION: u8 = 1;
-/// Wire version byte of mechanism-tagged frames.
+/// Wire version byte of narrow report batches and of snapshots.
 pub const WIRE_VERSION_TAGGED: u8 = 2;
-/// Wire version byte of wide (float-carrying, always tagged) frames.
+/// Wire version byte of wide (float-carrying) report batches.
 pub const WIRE_VERSION_WIDE: u8 = 3;
-/// Encoded size of one standalone report.
-pub const REPORT_LEN: usize = 17;
-/// Encoded size of one standalone mechanism-tagged report.
-pub const TAGGED_REPORT_LEN: usize = 19;
-/// Encoded size of one standalone wide (version 3) report.
-pub const WIDE_REPORT_LEN: usize = 23;
-/// First byte of a [`Batch`] frame; distinct from [`WIRE_VERSION`] so the
-/// two framings coexist in one stream.
+/// First byte of a [`Batch`] frame.
 pub const BATCH_TAG: u8 = 0xB1;
-/// Encoded size of a batch header (tag, version, count).
-pub const BATCH_HEADER_LEN: usize = 6;
-/// Encoded size of a mechanism-tagged batch header (tag, version, oracle,
-/// approach, count).
-pub const TAGGED_BATCH_HEADER_LEN: usize = 8;
-/// Encoded size of one report body inside a batch (no version byte).
+/// Encoded size of a batch header (tag, version, oracle, approach, count).
+pub const BATCH_HEADER_LEN: usize = 8;
+/// Encoded size of one narrow (version 2) report body.
 pub const REPORT_BODY_LEN: usize = 16;
-/// Encoded size of one wide report body inside a version-3 batch.
+/// Encoded size of one wide (version 3) report body.
 pub const WIDE_REPORT_BODY_LEN: usize = 20;
 
-/// The session-mechanism discriminant carried by version-2 frames: which
+/// The session-mechanism discriminant every [`Batch`] frame carries: which
 /// frequency-oracle policy randomized the reports and which estimation
-/// approach the session finalizes into. Version-1 frames imply
-/// [`MechanismTag::DEFAULT`].
+/// approach the session finalizes into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MechanismTag {
     /// The session's frequency-oracle policy.
@@ -167,34 +131,44 @@ pub(crate) fn approach_from_wire_byte(byte: u8) -> Result<ApproachKind, Protocol
 }
 
 impl MechanismTag {
-    /// The tag version-1 frames imply: OLH reports, HDG estimation.
-    pub const DEFAULT: MechanismTag = MechanismTag {
-        oracle: OraclePolicy::Olh,
-        approach: ApproachKind::Hdg,
-    };
-
-    /// Whether this is the implied default (and so encodes as version 1).
-    pub fn is_default(&self) -> bool {
-        *self == Self::DEFAULT
-    }
-
     /// Whether this tag names a float-carrying oracle, and so frames wide
     /// (version 3, `y` as raw `f64` bits).
     pub fn is_wide(&self) -> bool {
         matches!(self.oracle, OraclePolicy::Wheel | OraclePolicy::Sw)
     }
 
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(oracle_wire_byte(self.oracle));
-        buf.put_u8(approach_wire_byte(self.approach));
+    /// Encoded size of one report body in a batch carrying this tag.
+    pub(crate) fn body_len(&self) -> usize {
+        if self.is_wide() {
+            WIDE_REPORT_BODY_LEN
+        } else {
+            REPORT_BODY_LEN
+        }
     }
 
-    /// Decodes the two discriminant bytes; the caller must have checked
-    /// that they are present.
-    fn decode(buf: &mut impl Buf) -> Result<Self, ProtocolError> {
-        let oracle = oracle_from_wire_byte(buf.get_u8())?;
-        let approach = approach_from_wire_byte(buf.get_u8())?;
-        Ok(MechanismTag { oracle, approach })
+    /// Decodes a batch header's version byte and two discriminant bytes,
+    /// checking that the version is 2 or 3 and agrees with the oracle's
+    /// width. The one header rule [`Batch::decode`] and
+    /// [`crate::cursor::FrameCursor`] share.
+    pub(crate) fn from_batch_header(
+        version: u8,
+        oracle: u8,
+        approach: u8,
+    ) -> Result<Self, ProtocolError> {
+        if version != WIRE_VERSION_TAGGED && version != WIRE_VERSION_WIDE {
+            return Err(ProtocolError::Malformed("unsupported wire version"));
+        }
+        let tag = MechanismTag {
+            oracle: oracle_from_wire_byte(oracle)?,
+            approach: approach_from_wire_byte(approach)?,
+        };
+        match (version == WIRE_VERSION_WIDE, tag.is_wide()) {
+            (false, true) => Err(ProtocolError::Malformed(
+                "float-carrying oracle in a narrow frame",
+            )),
+            (true, false) => Err(ProtocolError::Malformed("integer oracle in a wide frame")),
+            _ => Ok(tag),
+        }
     }
 }
 
@@ -212,124 +186,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Appends the encoded report to `buf`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y` exceeds `u32` — a float-carrying report must travel
-    /// in a wide (version 3) frame via [`Report::encode_tagged`].
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.reserve(REPORT_LEN);
-        buf.put_u8(WIRE_VERSION);
-        self.encode_body(buf);
-    }
-
-    /// Encodes to a standalone buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(REPORT_LEN);
-        self.encode(&mut buf);
-        buf.freeze()
-    }
-
-    /// Appends the mechanism-tagged encoding to `buf`. Like
-    /// [`Batch::tagged`], the default tag canonicalizes to the version-1
-    /// form — an OLH/HDG stream is the same bytes however it is built —
-    /// and a wide tag (Wheel/SW) frames as version 3 with an 8-byte `y`.
-    pub fn encode_tagged(&self, tag: &MechanismTag, buf: &mut BytesMut) {
-        if tag.is_wide() {
-            buf.reserve(WIDE_REPORT_LEN);
-            buf.put_u8(WIRE_VERSION_WIDE);
-            tag.encode(buf);
-            self.encode_wide_body(buf);
-            return;
-        }
-        if tag.is_default() {
-            return self.encode(buf);
-        }
-        buf.reserve(TAGGED_REPORT_LEN);
-        buf.put_u8(WIRE_VERSION_TAGGED);
-        tag.encode(buf);
-        self.encode_body(buf);
-    }
-
-    /// Decodes one report from the front of `buf`, advancing it. Accepts
-    /// both wire versions; the mechanism tag of a version-2 report is
-    /// validated and discarded (see [`Report::decode_with_tag`]).
-    pub fn decode(buf: &mut impl Buf) -> Result<Self, ProtocolError> {
-        Self::decode_with_tag(buf).map(|(report, _)| report)
-    }
-
-    /// Decodes one report plus its mechanism tag (`None` for version-1
-    /// reports, which imply [`MechanismTag::DEFAULT`]).
-    pub fn decode_with_tag(
-        buf: &mut impl Buf,
-    ) -> Result<(Self, Option<MechanismTag>), ProtocolError> {
-        if !buf.has_remaining() {
-            return Err(ProtocolError::Malformed("truncated report"));
-        }
-        match buf.chunk()[0] {
-            WIRE_VERSION => {
-                if buf.remaining() < REPORT_LEN {
-                    return Err(ProtocolError::Malformed("truncated report"));
-                }
-                buf.advance(1);
-                Ok((Report::decode_body(buf), None))
-            }
-            WIRE_VERSION_TAGGED => {
-                if buf.remaining() < TAGGED_REPORT_LEN {
-                    return Err(ProtocolError::Malformed("truncated tagged report"));
-                }
-                buf.advance(1);
-                let tag = MechanismTag::decode(buf)?;
-                if tag.is_wide() {
-                    return Err(ProtocolError::Malformed(
-                        "float-carrying oracle in a narrow frame",
-                    ));
-                }
-                Ok((Report::decode_body(buf), Some(tag)))
-            }
-            WIRE_VERSION_WIDE => {
-                if buf.remaining() < WIDE_REPORT_LEN {
-                    return Err(ProtocolError::Malformed("truncated wide report"));
-                }
-                buf.advance(1);
-                let tag = MechanismTag::decode(buf)?;
-                if !tag.is_wide() {
-                    return Err(ProtocolError::Malformed("integer oracle in a wide frame"));
-                }
-                Ok((Report::decode_wide_body(buf), Some(tag)))
-            }
-            _ => Err(ProtocolError::Malformed("unsupported wire version")),
-        }
-    }
-
-    /// Decodes a whole stream of concatenated reports (either version).
-    pub fn decode_stream(buf: impl Buf) -> Result<Vec<Report>, ProtocolError> {
-        Self::decode_stream_tagged(buf).map(|(reports, _)| reports)
-    }
-
-    /// Decodes a stream of concatenated reports plus the stream's
-    /// mechanism tag. Every report must agree on the tag (version-1
-    /// reports imply the default), so a stream has one well-defined
-    /// mechanism; `None` only for an empty stream.
-    pub fn decode_stream_tagged(
-        mut buf: impl Buf,
-    ) -> Result<(Vec<Report>, Option<MechanismTag>), ProtocolError> {
-        let mut out = Vec::with_capacity(buf.remaining() / REPORT_LEN);
-        let mut stream_tag: Option<MechanismTag> = None;
-        while buf.has_remaining() {
-            let (report, tag) = Report::decode_with_tag(&mut buf)?;
-            let tag = tag.unwrap_or(MechanismTag::DEFAULT);
-            if *stream_tag.get_or_insert(tag) != tag {
-                return Err(ProtocolError::Malformed(
-                    "conflicting mechanism tags in stream",
-                ));
-            }
-            out.push(report);
-        }
-        Ok((out, stream_tag))
-    }
-
     fn encode_body(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.group);
         buf.put_u64_le(self.seed);
@@ -357,81 +213,45 @@ impl Report {
     }
 }
 
-/// A length-prefixed frame of reports — the bulk unit the sharded
-/// ingestion path consumes (see the module docs for the layout).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// A length-prefixed, mechanism-tagged frame of reports — the only form
+/// reports travel in (see the module docs for the layout).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Batch {
     /// The framed reports, in arrival order.
     pub reports: Vec<Report>,
-    /// The session-mechanism discriminant: `None` encodes as version 1
-    /// (OLH/HDG implied), `Some` as a version-2 tagged frame.
-    pub mechanism: Option<MechanismTag>,
+    /// The session-mechanism discriminant the frame carries.
+    pub mechanism: MechanismTag,
 }
 
 impl Batch {
-    /// Wraps reports into an untagged (version 1, OLH/HDG) batch.
-    pub fn new(reports: Vec<Report>) -> Self {
-        Batch {
-            reports,
-            mechanism: None,
-        }
-    }
-
-    /// Wraps reports into a mechanism-tagged batch. A default tag is
-    /// normalized away — the tagged and untagged forms of an OLH/HDG
-    /// session are the same value and the same bytes.
+    /// Wraps reports into a batch tagged with the session's mechanism.
     pub fn tagged(reports: Vec<Report>, tag: MechanismTag) -> Self {
         Batch {
             reports,
-            mechanism: (!tag.is_default()).then_some(tag),
+            mechanism: tag,
         }
     }
 
-    /// Encoded size of an untagged batch holding `count` reports (tagged
-    /// frames add `TAGGED_BATCH_HEADER_LEN - BATCH_HEADER_LEN` bytes).
-    pub fn encoded_len(count: usize) -> usize {
-        BATCH_HEADER_LEN + count * REPORT_BODY_LEN
-    }
-
-    /// The non-default mechanism tag, if any. `encode` canonicalizes
-    /// through this, so a hand-built `mechanism: Some(MechanismTag::
-    /// DEFAULT)` still emits the version-1 bytes.
-    fn effective_mechanism(&self) -> Option<MechanismTag> {
-        self.mechanism.filter(|tag| !tag.is_default())
-    }
-
-    fn wire_len(&self) -> usize {
-        let (header, body) = match self.effective_mechanism() {
-            None => (BATCH_HEADER_LEN, REPORT_BODY_LEN),
-            Some(tag) if tag.is_wide() => (TAGGED_BATCH_HEADER_LEN, WIDE_REPORT_BODY_LEN),
-            Some(_) => (TAGGED_BATCH_HEADER_LEN, REPORT_BODY_LEN),
-        };
-        header + self.reports.len() * body
-    }
-
-    /// Appends the encoded frame to `buf`.
+    /// Appends the encoded frame to `buf`: version 2 for the integer
+    /// oracles, version 3 for the float-carrying ones.
     ///
     /// # Panics
     ///
     /// Panics if the batch holds more than `u32::MAX` reports (the count
-    /// prefix is 32-bit); split earlier than that.
+    /// prefix is 32-bit; split earlier than that), or if a narrow-tagged
+    /// batch holds a report whose `y` exceeds `u32`.
     pub fn encode(&self, buf: &mut BytesMut) {
         let count = u32::try_from(self.reports.len()).expect("batch exceeds u32 count prefix");
-        buf.reserve(self.wire_len());
+        let wide = self.mechanism.is_wide();
+        buf.reserve(BATCH_HEADER_LEN + self.reports.len() * self.mechanism.body_len());
         buf.put_u8(BATCH_TAG);
-        let mut wide = false;
-        match self.effective_mechanism() {
-            None => buf.put_u8(WIRE_VERSION),
-            Some(tag) => {
-                wide = tag.is_wide();
-                buf.put_u8(if wide {
-                    WIRE_VERSION_WIDE
-                } else {
-                    WIRE_VERSION_TAGGED
-                });
-                tag.encode(buf);
-            }
-        }
+        buf.put_u8(if wide {
+            WIRE_VERSION_WIDE
+        } else {
+            WIRE_VERSION_TAGGED
+        });
+        buf.put_u8(oracle_wire_byte(self.mechanism.oracle));
+        buf.put_u8(approach_wire_byte(self.mechanism.approach));
         buf.put_u32_le(count);
         for r in &self.reports {
             if wide {
@@ -444,53 +264,24 @@ impl Batch {
 
     /// Encodes to a standalone buffer.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
+        let mut buf = BytesMut::new();
         self.encode(&mut buf);
         buf.freeze()
     }
 
-    /// Decodes one batch frame (either version) from the front of `buf`,
-    /// advancing it. Never panics on truncated or garbage input — every
-    /// malformed shape maps to a [`ProtocolError`].
+    /// Decodes one batch frame from the front of `buf`, advancing it.
+    /// Never panics on truncated or garbage input — every malformed shape
+    /// maps to a [`ProtocolError`].
     pub fn decode(buf: &mut impl Buf) -> Result<Self, ProtocolError> {
         if buf.remaining() < BATCH_HEADER_LEN {
             return Err(ProtocolError::Malformed("truncated batch header"));
         }
-        let tag = buf.get_u8();
-        if tag != BATCH_TAG {
+        if buf.get_u8() != BATCH_TAG {
             return Err(ProtocolError::Malformed("not a batch frame"));
         }
-        let version = buf.get_u8();
-        let mechanism = match version {
-            WIRE_VERSION => None,
-            WIRE_VERSION_TAGGED | WIRE_VERSION_WIDE => {
-                // Tag + version are consumed; the tagged header needs the
-                // two discriminant bytes and the count to still be there.
-                if buf.remaining() < TAGGED_BATCH_HEADER_LEN - 2 {
-                    return Err(ProtocolError::Malformed("truncated batch header"));
-                }
-                let tag = MechanismTag::decode(buf)?;
-                match (version == WIRE_VERSION_WIDE, tag.is_wide()) {
-                    (false, true) => {
-                        return Err(ProtocolError::Malformed(
-                            "float-carrying oracle in a narrow frame",
-                        ))
-                    }
-                    (true, false) => {
-                        return Err(ProtocolError::Malformed("integer oracle in a wide frame"))
-                    }
-                    _ => {}
-                }
-                Some(tag)
-            }
-            _ => return Err(ProtocolError::Malformed("unsupported wire version")),
-        };
-        let wide = version == WIRE_VERSION_WIDE;
-        let body_len = if wide {
-            WIDE_REPORT_BODY_LEN
-        } else {
-            REPORT_BODY_LEN
-        };
+        let (version, oracle, approach) = (buf.get_u8(), buf.get_u8(), buf.get_u8());
+        let mechanism = MechanismTag::from_batch_header(version, oracle, approach)?;
+        let (wide, body_len) = (mechanism.is_wide(), mechanism.body_len());
         let count = buf.get_u32_le() as usize;
         // The count prefix is attacker-controlled: validate against the
         // actual payload before allocating (division, not multiplication,
@@ -510,14 +301,9 @@ impl Batch {
     }
 
     /// Decodes a stream of consecutive batch frames, concatenating their
-    /// reports. Trailing bytes after the last complete frame are an error.
-    pub fn decode_stream(buf: impl Buf) -> Result<Vec<Report>, ProtocolError> {
-        Self::decode_stream_tagged(buf).map(|(reports, _)| reports)
-    }
-
-    /// Decodes a stream of consecutive batch frames plus the stream's
-    /// mechanism tag. Every frame must agree on the tag (untagged frames
-    /// imply the default); `None` only for an empty stream.
+    /// reports, plus the stream's mechanism tag. Every frame must carry
+    /// the same tag; `None` only for an empty stream. Trailing bytes after
+    /// the last complete frame are an error.
     pub fn decode_stream_tagged(
         mut buf: impl Buf,
     ) -> Result<(Vec<Report>, Option<MechanismTag>), ProtocolError> {
@@ -525,8 +311,7 @@ impl Batch {
         let mut stream_tag: Option<MechanismTag> = None;
         while buf.has_remaining() {
             let batch = Batch::decode(&mut buf)?;
-            let tag = batch.mechanism.unwrap_or(MechanismTag::DEFAULT);
-            if *stream_tag.get_or_insert(tag) != tag {
+            if *stream_tag.get_or_insert(batch.mechanism) != batch.mechanism {
                 return Err(ProtocolError::Malformed(
                     "conflicting mechanism tags in stream",
                 ));
@@ -537,37 +322,11 @@ impl Batch {
     }
 }
 
-/// Decodes a stream in either framing — concatenated standalone reports
-/// or length-prefixed [`Batch`] frames — by peeking the first byte. An
-/// empty stream is zero reports in either framing.
-pub fn decode_any_stream(buf: impl Buf) -> Result<Vec<Report>, ProtocolError> {
-    decode_any_stream_tagged(buf).map(|(reports, _)| reports)
-}
-
-/// [`decode_any_stream`] plus the stream's mechanism tag: `Some` once the
-/// stream carries at least one frame (untagged frames imply
-/// [`MechanismTag::DEFAULT`]), `None` for an empty stream.
-pub fn decode_any_stream_tagged(
-    buf: impl Buf,
-) -> Result<(Vec<Report>, Option<MechanismTag>), ProtocolError> {
-    if !buf.has_remaining() {
-        return Ok((Vec::new(), None));
-    }
-    if buf.chunk()[0] == BATCH_TAG {
-        Batch::decode_stream_tagged(buf)
-    } else {
-        Report::decode_stream_tagged(buf)
-    }
-}
-
 /// First byte of an encoded [`ModelSnapshot`] frame.
 pub const SNAPSHOT_TAG: u8 = 0xC5;
-/// Encoded size of a version-1 (HDG) snapshot header (tag, version, shape,
+/// Encoded size of a snapshot header (tag, version, approach, shape,
 /// estimation settings); the payload is raw `f64` bits.
-pub const SNAPSHOT_HEADER_LEN: usize = 41;
-/// Encoded size of a version-2 snapshot header: version 1 plus the
-/// approach discriminant byte right after the version byte.
-pub const TAGGED_SNAPSHOT_HEADER_LEN: usize = 42;
+pub const SNAPSHOT_HEADER_LEN: usize = 42;
 /// First byte of a [`QueryBatch`] frame.
 pub const QUERY_BATCH_TAG: u8 = 0xD7;
 /// Encoded size of a query-batch header (tag, version, domain, count).
@@ -595,19 +354,13 @@ fn snapshot_vector_counts(approach: ApproachKind, d: usize) -> (usize, usize) {
 /// marginals and no pair vectors).
 pub fn snapshot_encoded_len(snap: &ModelSnapshot) -> usize {
     let Granularities { g1, g2 } = snap.granularities;
-    let header = match snap.approach {
-        ApproachKind::Hdg => SNAPSHOT_HEADER_LEN,
-        ApproachKind::Tdg | ApproachKind::Msw => TAGGED_SNAPSHOT_HEADER_LEN,
-    };
     let (n1, m2) = snapshot_vector_counts(snap.approach, snap.d);
-    header + (n1 * g1 + m2 * g2 * g2) * 8
+    SNAPSHOT_HEADER_LEN + (n1 * g1 + m2 * g2 * g2) * 8
 }
 
 /// Appends the encoded snapshot frame to `buf`. Frequencies travel as raw
 /// `f64` bits, so decode reproduces the fit exactly — not approximately.
-/// HDG snapshots encode as version 1 (byte-identical to earlier releases);
-/// TDG and MSW snapshots encode as version 2 with the approach
-/// discriminant byte.
+/// Every snapshot carries its approach discriminant byte.
 ///
 /// # Panics
 ///
@@ -621,13 +374,8 @@ pub fn encode_snapshot(snap: &ModelSnapshot, buf: &mut BytesMut) {
     };
     buf.reserve(snapshot_encoded_len(snap));
     buf.put_u8(SNAPSHOT_TAG);
-    match snap.approach {
-        ApproachKind::Hdg => buf.put_u8(WIRE_VERSION),
-        approach => {
-            buf.put_u8(WIRE_VERSION_TAGGED);
-            buf.put_u8(approach_wire_byte(approach));
-        }
-    }
+    buf.put_u8(WIRE_VERSION_TAGGED);
+    buf.put_u8(approach_wire_byte(snap.approach));
     buf.put_u16_le(u16::try_from(snap.d).expect("snapshot dimension exceeds u16"));
     buf.put_u32_le(narrow32(snap.c, "domain"));
     buf.put_u32_le(narrow32(snap.granularities.g1, "granularity g1"));
@@ -670,17 +418,10 @@ pub fn decode_snapshot(buf: &mut impl Buf) -> Result<ModelSnapshot, ProtocolErro
     if tag != SNAPSHOT_TAG {
         return Err(ProtocolError::Malformed("not a snapshot frame"));
     }
-    let approach = match buf.get_u8() {
-        WIRE_VERSION => ApproachKind::Hdg,
-        WIRE_VERSION_TAGGED => {
-            // Tag + version consumed; the v2 header is one byte longer.
-            if buf.remaining() < TAGGED_SNAPSHOT_HEADER_LEN - 2 {
-                return Err(ProtocolError::Malformed("truncated snapshot header"));
-            }
-            approach_from_wire_byte(buf.get_u8())?
-        }
-        _ => return Err(ProtocolError::Malformed("unsupported wire version")),
-    };
+    if buf.get_u8() != WIRE_VERSION_TAGGED {
+        return Err(ProtocolError::Malformed("unsupported wire version"));
+    }
+    let approach = approach_from_wire_byte(buf.get_u8())?;
     let d = buf.get_u16_le() as usize;
     let c = buf.get_u32_le() as usize;
     let g1 = buf.get_u32_le() as usize;
@@ -905,55 +646,6 @@ impl AnswerBatch {
 mod tests {
     use super::*;
 
-    #[test]
-    fn round_trip_single() {
-        let r = Report {
-            group: 7,
-            seed: 0xDEAD_BEEF_CAFE_F00D,
-            y: 3,
-        };
-        let bytes = r.to_bytes();
-        assert_eq!(bytes.len(), REPORT_LEN);
-        let back = Report::decode(&mut bytes.clone()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn round_trip_stream() {
-        let reports: Vec<Report> = (0..100u32)
-            .map(|i| Report {
-                group: i % 5,
-                seed: i as u64 * 77,
-                y: (i % 4) as u64,
-            })
-            .collect();
-        let mut buf = BytesMut::new();
-        for r in &reports {
-            r.encode(&mut buf);
-        }
-        let back = Report::decode_stream(buf.freeze()).unwrap();
-        assert_eq!(back, reports);
-    }
-
-    #[test]
-    fn rejects_truncation_and_bad_version() {
-        let r = Report {
-            group: 1,
-            seed: 2,
-            y: 3,
-        };
-        let bytes = r.to_bytes();
-        let mut short = bytes.slice(..REPORT_LEN - 1);
-        assert!(Report::decode(&mut short).is_err());
-        let mut wrong = BytesMut::from(&bytes[..]);
-        wrong[0] = 99;
-        assert!(Report::decode(&mut wrong.freeze()).is_err());
-        // Stream with dangling tail bytes.
-        let mut buf = BytesMut::from(&bytes[..]);
-        buf.put_u8(0);
-        assert!(Report::decode_stream(buf.freeze()).is_err());
-    }
-
     fn sample_reports(n: u32) -> Vec<Report> {
         (0..n)
             .map(|i| Report {
@@ -975,6 +667,20 @@ mod tests {
             .collect()
     }
 
+    fn olh_hdg_tag() -> MechanismTag {
+        MechanismTag {
+            oracle: OraclePolicy::Olh,
+            approach: ApproachKind::Hdg,
+        }
+    }
+
+    fn grr_tag() -> MechanismTag {
+        MechanismTag {
+            oracle: OraclePolicy::Grr,
+            approach: ApproachKind::Tdg,
+        }
+    }
+
     fn wheel_tag() -> MechanismTag {
         MechanismTag {
             oracle: OraclePolicy::Wheel,
@@ -992,9 +698,9 @@ mod tests {
     #[test]
     fn batch_round_trip() {
         for n in [0u32, 1, 100] {
-            let batch = Batch::new(sample_reports(n));
+            let batch = Batch::tagged(sample_reports(n), olh_hdg_tag());
             let bytes = batch.to_bytes();
-            assert_eq!(bytes.len(), Batch::encoded_len(n as usize));
+            assert_eq!(bytes.len(), BATCH_HEADER_LEN + n as usize * REPORT_BODY_LEN);
             let back = Batch::decode(&mut bytes.clone()).unwrap();
             assert_eq!(back, batch);
         }
@@ -1003,37 +709,76 @@ mod tests {
     #[test]
     fn batch_stream_concatenates_frames() {
         let mut buf = BytesMut::new();
-        Batch::new(sample_reports(10)).encode(&mut buf);
-        Batch::new(sample_reports(3)).encode(&mut buf);
-        let reports = Batch::decode_stream(buf.freeze()).unwrap();
+        Batch::tagged(sample_reports(10), olh_hdg_tag()).encode(&mut buf);
+        Batch::tagged(sample_reports(3), olh_hdg_tag()).encode(&mut buf);
+        let (reports, tag) = Batch::decode_stream_tagged(buf.freeze()).unwrap();
+        assert_eq!(tag, Some(olh_hdg_tag()));
         assert_eq!(reports.len(), 13);
         assert_eq!(&reports[..10], &sample_reports(10)[..]);
         assert_eq!(&reports[10..], &sample_reports(3)[..]);
+        // An empty stream has no tag; dangling tail bytes are an error.
+        assert_eq!(
+            Batch::decode_stream_tagged(Bytes::new()).unwrap(),
+            (Vec::new(), None)
+        );
+        let mut tail =
+            BytesMut::from(&Batch::tagged(sample_reports(2), olh_hdg_tag()).to_bytes()[..]);
+        tail.put_u8(0);
+        assert!(Batch::decode_stream_tagged(tail.freeze()).is_err());
     }
 
     #[test]
     fn batch_rejects_malformed_frames() {
-        let bytes = Batch::new(sample_reports(4)).to_bytes();
+        let bytes = Batch::tagged(sample_reports(4), olh_hdg_tag()).to_bytes();
         // Truncated header.
         assert!(Batch::decode(&mut bytes.slice(..3)).is_err());
         // Truncated payload.
         assert!(Batch::decode(&mut bytes.slice(..bytes.len() - 1)).is_err());
         // Wrong tag and wrong version.
         let mut wrong_tag = BytesMut::from(&bytes[..]);
-        wrong_tag[0] = WIRE_VERSION;
+        wrong_tag[0] = WIRE_VERSION_TAGGED;
         assert!(Batch::decode(&mut wrong_tag.freeze()).is_err());
         let mut wrong_ver = BytesMut::from(&bytes[..]);
         wrong_ver[1] = 9;
         assert!(Batch::decode(&mut wrong_ver.freeze()).is_err());
         // A count prefix far beyond the payload must error before allocating.
-        let mut lying = BytesMut::new();
-        lying.put_u8(BATCH_TAG);
-        lying.put_u8(WIRE_VERSION);
-        lying.put_u32_le(u32::MAX);
+        let mut lying = BytesMut::from(&bytes[..BATCH_HEADER_LEN]);
+        lying[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             Batch::decode(&mut lying.freeze()),
             Err(ProtocolError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn rejects_truncation_and_bad_version() {
+        const BAD_VERSION: ProtocolError = ProtocolError::Malformed("unsupported wire version");
+        // The retired untagged batch header (tag, version 1, count, then
+        // 16-byte bodies) is refused rather than read as OLH/HDG.
+        let mut v1 = BytesMut::new();
+        v1.put_u8(BATCH_TAG);
+        v1.put_u8(1);
+        v1.put_u32_le(2);
+        for r in sample_reports(2) {
+            r.encode_body(&mut v1);
+        }
+        let v1 = v1.freeze();
+        assert_eq!(Batch::decode(&mut v1.clone()), Err(BAD_VERSION));
+        assert_eq!(Batch::decode_stream_tagged(v1), Err(BAD_VERSION));
+        // So is the retired HDG snapshot header: version 1, no approach byte.
+        let v2 = snapshot_to_bytes(&sample_snapshot());
+        let mut v1 = BytesMut::from(&v2[..2]);
+        v1[1] = 1;
+        v1.put_slice(&v2[3..]);
+        assert_eq!(decode_snapshot(&mut v1.freeze()), Err(BAD_VERSION));
+        // Every strict prefix of a current frame errors.
+        let batch = Batch::tagged(sample_reports(3), olh_hdg_tag()).to_bytes();
+        for cut in 0..batch.len() {
+            assert!(Batch::decode(&mut batch.slice(..cut)).is_err(), "cut={cut}");
+        }
+        for cut in 0..v2.len() {
+            assert!(decode_snapshot(&mut v2.slice(..cut)).is_err(), "cut={cut}");
+        }
     }
 
     fn sample_snapshot() -> ModelSnapshot {
@@ -1061,6 +806,9 @@ mod tests {
         let snap = sample_snapshot();
         let bytes = snapshot_to_bytes(&snap);
         assert_eq!(bytes.len(), snapshot_encoded_len(&snap));
+        // HDG snapshots carry their approach byte like every other.
+        assert_eq!(bytes[1], WIRE_VERSION_TAGGED);
+        assert_eq!(bytes[2], approach_wire_byte(ApproachKind::Hdg));
         let back = decode_snapshot(&mut bytes.clone()).unwrap();
         assert_eq!(back, snap);
     }
@@ -1076,8 +824,8 @@ mod tests {
         // A header declaring a huge shape over a short payload must error
         // before allocating.
         let mut lying = BytesMut::from(&bytes[..SNAPSHOT_HEADER_LEN]);
-        lying[2] = 64; // d = 64
-        lying[3] = 0;
+        lying[3] = 64; // d = 64
+        lying[4] = 0;
         assert!(matches!(
             decode_snapshot(&mut lying.freeze()),
             Err(ProtocolError::Malformed(_))
@@ -1128,13 +876,6 @@ mod tests {
         assert!(QueryBatch::decode(&mut lying.freeze()).is_err());
     }
 
-    fn grr_tag() -> MechanismTag {
-        MechanismTag {
-            oracle: OraclePolicy::Grr,
-            approach: ApproachKind::Tdg,
-        }
-    }
-
     #[test]
     fn tagged_report_round_trips_and_reports_its_tag() {
         let r = Report {
@@ -1142,73 +883,49 @@ mod tests {
             seed: 0,
             y: 9,
         };
-        let mut buf = BytesMut::new();
-        r.encode_tagged(&grr_tag(), &mut buf);
-        assert_eq!(buf.len(), TAGGED_REPORT_LEN);
-        let bytes = buf.freeze();
-        let (back, tag) = Report::decode_with_tag(&mut bytes.clone()).unwrap();
-        assert_eq!(back, r);
+        let bytes = Batch::tagged(vec![r], grr_tag()).to_bytes();
+        let (back, tag) = Batch::decode_stream_tagged(bytes).unwrap();
+        assert_eq!(back, vec![r]);
         assert_eq!(tag, Some(grr_tag()));
-        // Plain decode accepts the tagged form too.
-        assert_eq!(Report::decode(&mut bytes.clone()).unwrap(), r);
-        // An untagged report decodes with no tag.
-        let (_, tag) = Report::decode_with_tag(&mut r.to_bytes().clone()).unwrap();
-        assert_eq!(tag, None);
     }
 
     #[test]
-    fn tagged_batch_round_trips_and_default_tag_is_v1_bytes() {
+    fn tagged_batch_round_trips_and_olh_hdg_encodes_v2() {
         let reports = sample_reports(9);
         let tagged = Batch::tagged(reports.clone(), grr_tag());
         let bytes = tagged.to_bytes();
         assert_eq!(
             bytes.len(),
-            TAGGED_BATCH_HEADER_LEN + reports.len() * REPORT_BODY_LEN
+            BATCH_HEADER_LEN + reports.len() * REPORT_BODY_LEN
         );
         let back = Batch::decode(&mut bytes.clone()).unwrap();
         assert_eq!(back, tagged);
-        assert_eq!(back.mechanism, Some(grr_tag()));
+        assert_eq!(back.mechanism, grr_tag());
 
-        // A default tag encodes as version 1 — byte-identical to an
-        // untagged batch, so pure OLH/HDG streams never grow. Standalone
-        // reports canonicalize the same way.
-        let default_tagged = Batch::tagged(reports.clone(), MechanismTag::DEFAULT).to_bytes();
-        assert_eq!(default_tagged, Batch::new(reports.clone()).to_bytes());
-        // ... even when the pub field is set by hand instead of through
-        // the normalizing constructor.
-        let hand_built = Batch {
-            reports: reports.clone(),
-            mechanism: Some(MechanismTag::DEFAULT),
-        };
+        // OLH/HDG frames as version 2 with both discriminant bytes, like
+        // every other narrow mechanism.
+        let bytes = Batch::tagged(reports.clone(), olh_hdg_tag()).to_bytes();
+        assert_eq!(&bytes[..4], &[BATCH_TAG, WIRE_VERSION_TAGGED, 0, 0]);
         assert_eq!(
-            hand_built.to_bytes(),
-            Batch::new(reports.clone()).to_bytes()
+            bytes.len(),
+            BATCH_HEADER_LEN + reports.len() * REPORT_BODY_LEN
         );
-        let mut buf = BytesMut::new();
-        reports[0].encode_tagged(&MechanismTag::DEFAULT, &mut buf);
-        assert_eq!(buf.freeze(), reports[0].to_bytes());
+        assert_eq!(
+            Batch::decode(&mut bytes.clone()).unwrap().mechanism,
+            olh_hdg_tag()
+        );
     }
 
     #[test]
     fn tagged_frames_reject_malformed_discriminants_and_truncation() {
         let bytes = Batch::tagged(sample_reports(4), grr_tag()).to_bytes();
-        // Truncated tagged header.
-        assert!(Batch::decode(&mut bytes.slice(..TAGGED_BATCH_HEADER_LEN - 1)).is_err());
+        // Truncated header.
+        assert!(Batch::decode(&mut bytes.slice(..BATCH_HEADER_LEN - 1)).is_err());
         // Unknown oracle / approach discriminants.
         for (idx, bad) in [(2usize, 9u8), (3, 7)] {
             let mut wrong = BytesMut::from(&bytes[..]);
             wrong[idx] = bad;
             assert!(Batch::decode(&mut wrong.freeze()).is_err(), "byte {idx}");
-        }
-        // Same for standalone tagged reports.
-        let mut buf = BytesMut::new();
-        sample_reports(1)[0].encode_tagged(&grr_tag(), &mut buf);
-        let bytes = buf.freeze();
-        assert!(Report::decode(&mut bytes.slice(..TAGGED_REPORT_LEN - 1)).is_err());
-        for idx in [1usize, 2] {
-            let mut wrong = BytesMut::from(&bytes[..]);
-            wrong[idx] = 0xEE;
-            assert!(Report::decode(&mut wrong.freeze()).is_err(), "byte {idx}");
         }
     }
 
@@ -1216,7 +933,7 @@ mod tests {
     fn streams_with_conflicting_tags_are_rejected() {
         let mut buf = BytesMut::new();
         Batch::tagged(sample_reports(3), grr_tag()).encode(&mut buf);
-        Batch::new(sample_reports(2)).encode(&mut buf); // implies DEFAULT
+        Batch::tagged(sample_reports(2), olh_hdg_tag()).encode(&mut buf);
         assert!(matches!(
             Batch::decode_stream_tagged(buf.freeze()),
             Err(ProtocolError::Malformed(_))
@@ -1226,17 +943,8 @@ mod tests {
         let mut buf = BytesMut::new();
         Batch::tagged(sample_reports(3), grr_tag()).encode(&mut buf);
         Batch::tagged(sample_reports(2), grr_tag()).encode(&mut buf);
-        let (reports, tag) = decode_any_stream_tagged(buf.freeze()).unwrap();
+        let (reports, tag) = Batch::decode_stream_tagged(buf.freeze()).unwrap();
         assert_eq!(reports.len(), 5);
-        assert_eq!(tag, Some(grr_tag()));
-
-        // Standalone tagged reports stream the same way.
-        let mut buf = BytesMut::new();
-        for r in sample_reports(4) {
-            r.encode_tagged(&grr_tag(), &mut buf);
-        }
-        let (reports, tag) = decode_any_stream_tagged(buf.freeze()).unwrap();
-        assert_eq!(reports.len(), 4);
         assert_eq!(tag, Some(grr_tag()));
     }
 
@@ -1265,44 +973,32 @@ mod tests {
         assert_eq!(back, snap);
         assert_eq!(back.approach, ApproachKind::Tdg);
 
-        // Truncated v2 header and unknown approach byte must error.
-        assert!(decode_snapshot(&mut bytes.slice(..TAGGED_SNAPSHOT_HEADER_LEN - 1)).is_err());
+        // Truncated header and unknown approach byte must error.
+        assert!(decode_snapshot(&mut bytes.slice(..SNAPSHOT_HEADER_LEN - 1)).is_err());
         let mut wrong = BytesMut::from(&bytes[..]);
         wrong[2] = 9;
         assert!(decode_snapshot(&mut wrong.freeze()).is_err());
-        // HDG snapshots still encode as version 1.
-        assert_eq!(snapshot_to_bytes(&sample_snapshot())[1], WIRE_VERSION);
     }
 
     #[test]
     fn wide_report_and_batch_round_trip_exact_f64_bits() {
         for tag in [wheel_tag(), sw_msw_tag()] {
             let reports = wide_reports(9);
-            let mut buf = BytesMut::new();
-            reports[0].encode_tagged(&tag, &mut buf);
-            assert_eq!(buf.len(), WIDE_REPORT_LEN);
-            let bytes = buf.freeze();
-            assert_eq!(bytes[0], WIRE_VERSION_WIDE);
-            let (back, got) = Report::decode_with_tag(&mut bytes.clone()).unwrap();
-            assert_eq!(back, reports[0]);
-            assert_eq!(got, Some(tag));
-
             let batch = Batch::tagged(reports.clone(), tag);
             let bytes = batch.to_bytes();
             assert_eq!(
                 bytes.len(),
-                TAGGED_BATCH_HEADER_LEN + reports.len() * WIDE_REPORT_BODY_LEN
+                BATCH_HEADER_LEN + reports.len() * WIDE_REPORT_BODY_LEN
             );
             assert_eq!(bytes[1], WIRE_VERSION_WIDE);
             let back = Batch::decode(&mut bytes.clone()).unwrap();
             assert_eq!(back, batch);
 
-            // Streamed standalone wide reports decode with their tag.
+            // A stream of wide frames decodes with its tag.
             let mut buf = BytesMut::new();
-            for r in &reports {
-                r.encode_tagged(&tag, &mut buf);
-            }
-            let (decoded, stream_tag) = decode_any_stream_tagged(buf.freeze()).unwrap();
+            Batch::tagged(reports[..4].to_vec(), tag).encode(&mut buf);
+            Batch::tagged(reports[4..].to_vec(), tag).encode(&mut buf);
+            let (decoded, stream_tag) = Batch::decode_stream_tagged(buf.freeze()).unwrap();
             assert_eq!(decoded, reports);
             assert_eq!(stream_tag, Some(tag));
         }
@@ -1326,17 +1022,6 @@ mod tests {
             Batch::decode(&mut forged.freeze()),
             Err(ProtocolError::Malformed(_))
         ));
-        // Same for standalone reports.
-        let mut buf = BytesMut::new();
-        sample_reports(1)[0].encode_tagged(&grr_tag(), &mut buf);
-        let mut forged = buf;
-        forged[1] = 4; // oracle byte -> sw inside a 19-byte frame
-        assert!(Report::decode(&mut forged.freeze()).is_err());
-        let mut buf = BytesMut::new();
-        wide_reports(1)[0].encode_tagged(&wheel_tag(), &mut buf);
-        let mut forged = buf;
-        forged[1] = 1; // oracle byte -> grr inside a 23-byte frame
-        assert!(Report::decode(&mut forged.freeze()).is_err());
     }
 
     #[test]
@@ -1344,7 +1029,7 @@ mod tests {
         // Wide and narrow frames cannot mix in one stream.
         let mut buf = BytesMut::new();
         Batch::tagged(wide_reports(3), wheel_tag()).encode(&mut buf);
-        Batch::new(sample_reports(2)).encode(&mut buf);
+        Batch::tagged(sample_reports(2), olh_hdg_tag()).encode(&mut buf);
         assert!(matches!(
             Batch::decode_stream_tagged(buf.freeze()),
             Err(ProtocolError::Malformed(_))
@@ -1357,17 +1042,13 @@ mod tests {
         // Truncated wide frames error instead of panicking.
         let bytes = Batch::tagged(wide_reports(4), wheel_tag()).to_bytes();
         assert!(Batch::decode(&mut bytes.slice(..bytes.len() - 1)).is_err());
-        assert!(Batch::decode(&mut bytes.slice(..TAGGED_BATCH_HEADER_LEN - 1)).is_err());
-        let mut buf = BytesMut::new();
-        wide_reports(1)[0].encode_tagged(&wheel_tag(), &mut buf);
-        assert!(Report::decode(&mut buf.freeze().slice(..WIDE_REPORT_LEN - 1)).is_err());
+        assert!(Batch::decode(&mut bytes.slice(..BATCH_HEADER_LEN - 1)).is_err());
     }
 
     #[test]
     #[should_panic(expected = "wide report y in a narrow frame")]
     fn narrow_encoding_of_a_wide_report_fails_loudly() {
-        let mut buf = BytesMut::new();
-        wide_reports(1)[0].encode(&mut buf);
+        Batch::tagged(wide_reports(1), grr_tag()).to_bytes();
     }
 
     #[test]
@@ -1394,19 +1075,5 @@ mod tests {
         let back = decode_snapshot(&mut bytes.clone()).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.approach, ApproachKind::Msw);
-    }
-
-    #[test]
-    fn any_stream_detects_framing() {
-        let reports = sample_reports(6);
-        let mut legacy = BytesMut::new();
-        for r in &reports {
-            r.encode(&mut legacy);
-        }
-        assert_eq!(decode_any_stream(legacy.freeze()).unwrap(), reports);
-        let mut batched = BytesMut::new();
-        Batch::new(reports.clone()).encode(&mut batched);
-        assert_eq!(decode_any_stream(batched.freeze()).unwrap(), reports);
-        assert!(decode_any_stream(Bytes::from(vec![])).unwrap().is_empty());
     }
 }

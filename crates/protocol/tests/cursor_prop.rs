@@ -2,9 +2,11 @@
 //!
 //! The collectors ingest wire bytes only through the borrowing
 //! `FrameCursor`. These suites pin it against a reference built from the
-//! owning `wire` decoders, which share no code with the cursor: for every
-//! stream — v1/v2/v3 frames, batch or standalone framing, valid,
-//! truncated, or outright garbage — both accept/reject identically (the
+//! owning batch decoder (`Batch::decode` / `Batch::decode_stream_tagged`),
+//! which shares only the header-discriminant rule with the cursor: for
+//! every stream — narrow (v2) or wide (v3) batch frames, valid, truncated,
+//! or outright garbage, including garbage that opens with a retired
+//! standalone report's version byte — both accept/reject identically (the
 //! same error values included), never panic, leave an erroring one-shot
 //! collector untouched, and produce bit-identical counters when they
 //! succeed. The epoch path gets the same treatment, including cut
@@ -12,17 +14,15 @@
 
 use bytes::BytesMut;
 use privmdr_core::ApproachKind;
-use privmdr_protocol::wire::BATCH_TAG;
 use privmdr_protocol::{
-    decode_any_stream_tagged, Batch, Collector, EpochCollector, EpochCut, MechanismTag,
-    OraclePolicy, ProtocolError, Report, SessionPlan,
+    Batch, Collector, EpochCollector, EpochCut, OraclePolicy, ProtocolError, Report, SessionPlan,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The mechanism shapes that exercise all three wire versions: v1
-/// (default OLH/HDG), v2 narrow-tagged, and v3 wide.
+/// The mechanism shapes that exercise both frame widths: v2 narrow and v3
+/// wide.
 const MECHANISMS: &[(OraclePolicy, ApproachKind)] = &[
     (OraclePolicy::Olh, ApproachKind::Hdg),
     (OraclePolicy::Grr, ApproachKind::Hdg),
@@ -61,29 +61,20 @@ fn random_reports(plan: &SessionPlan, n: usize, rng: &mut StdRng) -> Vec<Report>
         .collect()
 }
 
-/// Frames `reports` for the one-shot path: either all batch frames (with
-/// random frame sizes) or all standalone reports — the two framings
-/// `decode_any_stream_tagged` commits to.
+/// Frames `reports` as batch frames of random sizes up to `frame_size`.
 fn encode_stream(
     plan: &SessionPlan,
     reports: &[Report],
-    batch_framing: bool,
     frame_size: usize,
     rng: &mut StdRng,
 ) -> Vec<u8> {
     let tag = plan.mechanism_tag();
     let mut buf = BytesMut::new();
-    if batch_framing {
-        let mut rest = reports;
-        while !rest.is_empty() {
-            let take = rng.random_range(1..=frame_size.min(rest.len()).max(1));
-            Batch::tagged(rest[..take].to_vec(), tag).encode(&mut buf);
-            rest = &rest[take..];
-        }
-    } else {
-        for r in reports {
-            r.encode_tagged(&tag, &mut buf);
-        }
+    let mut rest = reports;
+    while !rest.is_empty() {
+        let take = rng.random_range(1..=frame_size.min(rest.len()).max(1));
+        Batch::tagged(rest[..take].to_vec(), tag).encode(&mut buf);
+        rest = &rest[take..];
     }
     buf.to_vec()
 }
@@ -109,7 +100,7 @@ fn reference_one_shot(
     bytes: &[u8],
     shards: usize,
 ) -> Result<usize, ProtocolError> {
-    let (reports, tag) = decode_any_stream_tagged(bytes)?;
+    let (reports, tag) = Batch::decode_stream_tagged(bytes)?;
     if tag.is_some_and(|tag| tag != collector.plan().mechanism_tag()) {
         return Err(TAG_MISMATCH);
     }
@@ -117,7 +108,7 @@ fn reference_one_shot(
 }
 
 /// Epoch reference for a fresh collector: decode frame by frame with the
-/// owning decoders, feed `ingest_batch`, and `cut_epoch` every
+/// owning batch decoder, feed `ingest_batch`, and `cut_epoch` every
 /// `epoch_every` reports, splitting frames at the boundary.
 fn reference_epochs(
     collector: &mut EpochCollector,
@@ -130,14 +121,8 @@ fn reference_epochs(
     let mut in_flight = 0u64;
     let mut processed = 0usize;
     while !bytes.is_empty() {
-        let (reports, tag) = if bytes[0] == BATCH_TAG {
-            let batch = Batch::decode(&mut bytes)?;
-            (batch.reports, batch.mechanism)
-        } else {
-            let (report, tag) = Report::decode_with_tag(&mut bytes)?;
-            (vec![report], tag)
-        };
-        if tag.unwrap_or(MechanismTag::DEFAULT) != expected_tag {
+        let Batch { reports, mechanism } = Batch::decode(&mut bytes)?;
+        if mechanism != expected_tag {
             return Err(TAG_MISMATCH);
         }
         let mut rest = reports.as_slice();
@@ -158,22 +143,21 @@ fn reference_epochs(
 
 proptest! {
     /// One-shot ingestion: zero-copy cursor path ≡ owning-decoder
-    /// reference ≡ pre-decoded `ingest_batch`, for every mechanism,
-    /// framing, shard count, and frame-size mix.
+    /// reference ≡ pre-decoded `ingest_batch`, for every mechanism, shard
+    /// count, and frame-size mix.
     #[test]
     fn one_shot_zero_copy_equals_vec_path(
         mech in 0usize..5,
         c_pow in 2u32..5,
         n_reports in 0usize..200,
         frame_size in 1usize..64,
-        batch_framing in any::<bool>(),
         shards in 1usize..6,
         seed in any::<u64>(),
     ) {
         let plan = plan_for(mech, 1usize << c_pow, seed);
         let mut rng = StdRng::seed_from_u64(seed);
         let reports = random_reports(&plan, n_reports, &mut rng);
-        let bytes = encode_stream(&plan, &reports, batch_framing, frame_size, &mut rng);
+        let bytes = encode_stream(&plan, &reports, frame_size, &mut rng);
 
         let mut via_slice = Collector::new(plan.clone()).unwrap();
         let n_slice = via_slice.ingest_stream_sharded(&bytes, shards).unwrap();
@@ -200,14 +184,13 @@ proptest! {
         mech in 0usize..5,
         n_reports in 1usize..40,
         frame_size in 1usize..16,
-        batch_framing in any::<bool>(),
         cut_frac in 0.0f64..1.0,
         seed in any::<u64>(),
     ) {
         let plan = plan_for(mech, 8, seed);
         let mut rng = StdRng::seed_from_u64(seed);
         let reports = random_reports(&plan, n_reports, &mut rng);
-        let bytes = encode_stream(&plan, &reports, batch_framing, frame_size, &mut rng);
+        let bytes = encode_stream(&plan, &reports, frame_size, &mut rng);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         let cut_bytes = &bytes[..cut.min(bytes.len())];
 
@@ -224,14 +207,17 @@ proptest! {
         assert_same_state(&via_slice, &via_vec, "truncated stream")?;
     }
 
-    /// Arbitrary byte soup: cursor and reference agree on accept/reject
-    /// and state, and neither panics.
+    /// Arbitrary byte soup, bare or opening with a retired standalone
+    /// report's version byte (1, 2 or 3): cursor and reference agree on
+    /// accept/reject and state, and neither panics.
     #[test]
     fn garbage_never_panics_and_paths_agree(
-        bytes in prop::collection::vec(any::<u8>(), 0..400),
+        lead in prop_oneof![Just(None), (1u8..=3).prop_map(Some)],
+        garbage in prop::collection::vec(any::<u8>(), 0..400),
         shards in 1usize..4,
         seed in any::<u64>(),
     ) {
+        let bytes: Vec<u8> = lead.into_iter().chain(garbage).collect();
         let plan = plan_for(0, 8, seed);
         let mut via_slice = Collector::new(plan.clone()).unwrap();
         let slice_result = via_slice.ingest_stream_sharded(&bytes, shards);
@@ -251,7 +237,6 @@ proptest! {
         mech in 0usize..5,
         n_reports in 0usize..160,
         frame_size in 1usize..32,
-        batch_framing in any::<bool>(),
         epoch_every in 1u64..60,
         shards in 1usize..4,
         corrupt_tail in any::<bool>(),
@@ -260,7 +245,7 @@ proptest! {
         let plan = plan_for(mech, 8, seed);
         let mut rng = StdRng::seed_from_u64(seed);
         let reports = random_reports(&plan, n_reports, &mut rng);
-        let mut bytes = encode_stream(&plan, &reports, batch_framing, frame_size, &mut rng);
+        let mut bytes = encode_stream(&plan, &reports, frame_size, &mut rng);
         if corrupt_tail {
             bytes.extend_from_slice(&[0x42, 0x13, 0x37]);
         }

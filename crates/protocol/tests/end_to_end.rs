@@ -4,7 +4,8 @@
 use bytes::BytesMut;
 use privmdr_core::{Hdg, Mechanism, MechanismConfig};
 use privmdr_data::DatasetSpec;
-use privmdr_protocol::{Client, Collector, Report, SessionPlan};
+use privmdr_protocol::wire::{BATCH_HEADER_LEN, REPORT_BODY_LEN};
+use privmdr_protocol::{Batch, Client, Collector, Report, SessionPlan};
 use privmdr_query::workload::{true_answers, WorkloadBuilder};
 use privmdr_util::rng::derive_rng;
 
@@ -18,16 +19,16 @@ fn protocol_accuracy_matches_in_process_exact_fit() {
     let plan = SessionPlan::new(n, d, c, eps, 777).unwrap();
     let mut collector = Collector::new(plan.clone()).unwrap();
     let mut rng = derive_rng(11, &[0]);
+    let reports: Vec<Report> = (0..n as u64)
+        .map(|uid| {
+            let client = Client::new(&plan, uid).unwrap();
+            client.report(ds.row(uid as usize), &mut rng).unwrap()
+        })
+        .collect();
     let mut buf = BytesMut::new();
-    for uid in 0..n as u64 {
-        let client = Client::new(&plan, uid).unwrap();
-        client
-            .report(ds.row(uid as usize), &mut rng)
-            .unwrap()
-            .encode(&mut buf);
-    }
-    // 17 bytes per user on the wire.
-    assert_eq!(buf.len(), n * privmdr_protocol::wire::REPORT_LEN);
+    Batch::tagged(reports, plan.mechanism_tag()).encode(&mut buf);
+    // 16 bytes per user on the wire, plus one 8-byte frame header.
+    assert_eq!(buf.len(), BATCH_HEADER_LEN + n * REPORT_BODY_LEN);
     collector.ingest_stream_sharded(&buf, 1).unwrap();
     assert_eq!(collector.report_count(), n as u64);
     let wire_model = collector.finalize(MechanismConfig::default()).unwrap();

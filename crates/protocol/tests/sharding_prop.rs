@@ -294,7 +294,7 @@ proptest! {
 
         let mut buf = BytesMut::new();
         for chunk in reports.chunks(batch_size) {
-            Batch::new(chunk.to_vec()).encode(&mut buf);
+            Batch::tagged(chunk.to_vec(), plan.mechanism_tag()).encode(&mut buf);
         }
         let mut framed = Collector::new(plan).unwrap();
         let n = framed.ingest_stream_sharded(&buf, shards).unwrap();

@@ -1,4 +1,4 @@
-//! Property tests for the wire format: both framings round-trip arbitrary
+//! Property tests for the wire format: report batches round-trip arbitrary
 //! report contents, and no byte garbage — truncated, corrupted, or lying
 //! about its length — can panic a decoder. Malformed input must always
 //! surface as a `ProtocolError`.
@@ -10,15 +10,14 @@ use privmdr_grid::guideline::Granularities;
 use privmdr_grid::pairs::pair_count;
 use privmdr_protocol::stream::{
     collector_state_encoded_len, collector_state_to_bytes, decode_collector_state,
-    COLLECTOR_STATE_TAG, COLLECTOR_STATE_VERSION,
+    COLLECTOR_STATE_GROUP_HEADER_LEN, COLLECTOR_STATE_HEADER_LEN, COLLECTOR_STATE_TAG,
+    COLLECTOR_STATE_VERSION,
 };
 use privmdr_protocol::wire::{
     decode_snapshot, snapshot_encoded_len, snapshot_to_bytes, AnswerBatch, Batch, QueryBatch,
     BATCH_HEADER_LEN, REPORT_BODY_LEN, SNAPSHOT_HEADER_LEN,
 };
-use privmdr_protocol::{
-    decode_any_stream, ApproachKind, Collector, MechanismTag, OraclePolicy, Report, SessionPlan,
-};
+use privmdr_protocol::{ApproachKind, Collector, MechanismTag, OraclePolicy, Report, SessionPlan};
 use privmdr_query::RangeQuery;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,6 +30,19 @@ fn arb_report() -> impl Strategy<Value = Report> {
         y: y as u64,
     })
 }
+
+/// Any integer-oracle (narrow, version 2) mechanism tag.
+fn arb_narrow_tag() -> impl Strategy<Value = MechanismTag> {
+    (0usize..3, 0usize..3).prop_map(|(o, a)| MechanismTag {
+        oracle: [OraclePolicy::Olh, OraclePolicy::Grr, OraclePolicy::Auto][o],
+        approach: [ApproachKind::Hdg, ApproachKind::Tdg, ApproachKind::Msw][a],
+    })
+}
+
+const OLH_HDG: MechanismTag = MechanismTag {
+    oracle: OraclePolicy::Olh,
+    approach: ApproachKind::Hdg,
+};
 
 /// Reports whose `y` spans the full u64 range (raw f64 bit patterns) —
 /// only encodable through the wide (version 3) framing.
@@ -101,6 +113,17 @@ fn collector_from_seed(d: usize, seed: u64) -> Collector {
     collector
 }
 
+/// Every report count and support counter of `collector`, total first.
+fn all_counts(collector: &Collector) -> Vec<u64> {
+    let mut counts = vec![collector.report_count()];
+    for g in 0..collector.plan().group_count() as u32 {
+        let (supports, reports) = collector.group_state(g).unwrap();
+        counts.push(reports);
+        counts.extend_from_slice(supports);
+    }
+    counts
+}
+
 fn assert_untouched(dst: &Collector, before: &Collector) -> Result<(), TestCaseError> {
     prop_assert_eq!(dst.report_count(), before.report_count());
     for g in 0..dst.plan().group_count() as u32 {
@@ -128,21 +151,30 @@ fn query_batch_from_seed(c: usize, count: usize, seed: u64) -> QueryBatch {
 }
 
 proptest! {
-    /// Wire encoding round-trips arbitrary report contents.
+    /// A one-report batch round-trips arbitrary report contents and its
+    /// mechanism tag.
     #[test]
-    fn report_roundtrip(group in any::<u32>(), seed in any::<u64>(), y in any::<u32>()) {
+    fn report_roundtrip(
+        group in any::<u32>(),
+        seed in any::<u64>(),
+        y in any::<u32>(),
+        tag in arb_narrow_tag(),
+    ) {
         let r = Report { group, seed, y: y as u64 };
-        let bytes = r.to_bytes();
-        let back = Report::decode(&mut bytes.clone()).unwrap();
-        prop_assert_eq!(back, r);
+        let (back, back_tag) = Batch::decode_stream_tagged(Batch::tagged(vec![r], tag).to_bytes())
+            .unwrap();
+        prop_assert_eq!(back, vec![r]);
+        prop_assert_eq!(back_tag, Some(tag));
     }
 
-    /// Wide (version 3) frames round-trip the full 64-bit `y` exactly, in
-    /// both framings, for both float-carrying oracle discriminants.
+    /// Wide (version 3) frames round-trip the full 64-bit `y` exactly, as
+    /// one frame or split over two, for both float-carrying oracle
+    /// discriminants.
     #[test]
     fn wide_report_roundtrip(
         reports in prop::collection::vec(arb_wide_report(), 0..32),
         use_sw in any::<bool>(),
+        split_seed in any::<usize>(),
     ) {
         let tag = MechanismTag {
             oracle: if use_sw { OraclePolicy::Sw } else { OraclePolicy::Wheel },
@@ -151,19 +183,23 @@ proptest! {
         let batch = Batch::tagged(reports.clone(), tag);
         let back = Batch::decode(&mut batch.to_bytes().clone()).unwrap();
         prop_assert_eq!(&back, &batch);
+        let split = split_seed % (reports.len() + 1);
         let mut buf = BytesMut::new();
-        for r in &reports {
-            r.encode_tagged(&tag, &mut buf);
-        }
-        let back = Report::decode_stream(buf.freeze()).unwrap();
+        Batch::tagged(reports[..split].to_vec(), tag).encode(&mut buf);
+        Batch::tagged(reports[split..].to_vec(), tag).encode(&mut buf);
+        let (back, back_tag) = Batch::decode_stream_tagged(buf.freeze()).unwrap();
         prop_assert_eq!(back, reports);
+        prop_assert_eq!(back_tag, Some(tag));
     }
 
     /// Batch frames round-trip arbitrary report sets of any size, and the
     /// encoded length is exactly the documented header + bodies.
     #[test]
-    fn batch_roundtrip(reports in prop::collection::vec(arb_report(), 0..64)) {
-        let batch = Batch::new(reports);
+    fn batch_roundtrip(
+        reports in prop::collection::vec(arb_report(), 0..64),
+        tag in arb_narrow_tag(),
+    ) {
+        let batch = Batch::tagged(reports, tag);
         let bytes = batch.to_bytes();
         prop_assert_eq!(
             bytes.len(),
@@ -173,20 +209,25 @@ proptest! {
         prop_assert_eq!(back, batch);
     }
 
-    /// Arbitrary byte garbage never panics the legacy stream decoder.
+    /// A stream opening with a retired standalone report's version byte
+    /// (1, 2 or 3) is refused — never a panic, never a decoded report.
     #[test]
-    fn report_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        let _ = Report::decode_stream(&bytes[..]);
+    fn report_decoder_never_panics(
+        lead in 1u8..=3,
+        body in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut bytes = vec![lead];
+        bytes.extend_from_slice(&body);
+        prop_assert!(Batch::decode_stream_tagged(&bytes[..]).is_err());
     }
 
-    /// Arbitrary byte garbage never panics the batch decoder or the
-    /// framing-detecting stream decoder. A lying count prefix inside the
-    /// garbage must be caught before any allocation happens.
+    /// Arbitrary byte garbage never panics the batch decoder or the stream
+    /// decoder. A lying count prefix inside the garbage must be caught
+    /// before any allocation happens.
     #[test]
     fn batch_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
         let _ = Batch::decode(&mut &bytes[..]);
-        let _ = Batch::decode_stream(&bytes[..]);
-        let _ = decode_any_stream(&bytes[..]);
+        let _ = Batch::decode_stream_tagged(&bytes[..]);
     }
 
     /// Every strict prefix of a valid batch frame decodes to an error, not
@@ -196,7 +237,7 @@ proptest! {
         reports in prop::collection::vec(arb_report(), 1..32),
         cut_seed in any::<u64>(),
     ) {
-        let bytes = Batch::new(reports).to_bytes();
+        let bytes = Batch::tagged(reports, OLH_HDG).to_bytes();
         let cut = (cut_seed % bytes.len() as u64) as usize;
         prop_assert!(Batch::decode(&mut bytes.slice(..cut)).is_err());
     }
@@ -208,7 +249,7 @@ proptest! {
         byte in any::<u8>(),
         in_tag in any::<bool>(),
     ) {
-        let batch = Batch::new(reports);
+        let batch = Batch::tagged(reports, OLH_HDG);
         let mut bytes = BytesMut::from(&batch.to_bytes()[..]);
         let idx = usize::from(!in_tag);
         prop_assume!(bytes[idx] != byte);
@@ -306,8 +347,8 @@ proptest! {
         body in prop::collection::vec(any::<u8>(), 0..96),
     ) {
         let mut buf = BytesMut::new();
-        buf.put_u8([0xC5u8, 0xD7, 0xA7][tag_choice]);
-        buf.put_u8(1); // WIRE_VERSION
+        // Snapshots are version 2; query and answer batches version 1.
+        buf.put_slice(&[[0xC5u8, 2], [0xD7, 1], [0xA7, 1]][tag_choice]);
         buf.put_slice(&body);
         let bytes = buf.freeze();
         let _ = decode_snapshot(&mut bytes.clone());
@@ -397,5 +438,59 @@ proptest! {
         bytes[2] = bytes[2].wrapping_add(1); // oracle discriminant
         prop_assert!(twin.merge_state(&mut bytes.freeze()).is_err());
         assert_untouched(&twin, &twin_before)?;
+    }
+
+    /// A `CollectorState` frame claiming `u64::MAX` (or, merged twice,
+    /// 2⁶²) reports in group 0 and in one support counter cannot set up an
+    /// overflow: whether `merge_state` accepts or refuses it, no count is
+    /// left at or above 2⁶³, and ingesting more reports afterwards through
+    /// the lone-run (`ingest_batch`, one shard) and sharded
+    /// (`ingest_stream_sharded`, two shards) paths never panics and never
+    /// lowers a count.
+    #[test]
+    fn hostile_collector_state_counts_never_overflow_ingest(
+        d in 2usize..5,
+        seed in any::<u64>(),
+        cell_seed in any::<usize>(),
+        claim in prop_oneof![Just(u64::MAX), Just(1u64 << 62)],
+    ) {
+        let src = collector_from_seed(d, seed);
+        let plan = src.plan().clone();
+        let mut bytes = BytesMut::from(&collector_state_to_bytes(&src)[..]);
+        let group0 = COLLECTOR_STATE_HEADER_LEN;
+        let cells = src.group_state(0).unwrap().0.len();
+        let cell = group0 + COLLECTOR_STATE_GROUP_HEADER_LEN + 8 * (cell_seed % cells);
+        bytes[group0..group0 + 8].copy_from_slice(&claim.to_le_bytes());
+        bytes[cell..cell + 8].copy_from_slice(&claim.to_le_bytes());
+        let frame = bytes.freeze();
+
+        let mut dst = Collector::new(plan.clone()).unwrap();
+        for _ in 0..2 {
+            let _ = dst.merge_state(&mut frame.clone());
+        }
+        prop_assert!(all_counts(&dst).iter().all(|&n| n < 1 << 63));
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0CC);
+        let reports: Vec<Report> = (0..10)
+            .map(|_| Report {
+                group: rng.random_range(0..plan.group_count() as u32),
+                seed: rng.random(),
+                y: rng.random_range(0..64),
+            })
+            .collect();
+        let mut wire = BytesMut::new();
+        Batch::tagged(reports.clone(), plan.mechanism_tag()).encode(&mut wire);
+        let mut before = all_counts(&dst);
+        for ingest in 0..2 {
+            if ingest == 0 {
+                dst.ingest_batch(&reports, 1).unwrap();
+            } else {
+                dst.ingest_stream_sharded(&wire, 2).unwrap();
+            }
+            let after = all_counts(&dst);
+            prop_assert_eq!(after[0], before[0] + 10);
+            prop_assert!(after.iter().zip(&before).all(|(a, b)| a >= b));
+            before = after;
+        }
     }
 }
