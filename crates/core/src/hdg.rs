@@ -26,7 +26,10 @@
 //! paid once per publish by the grouped kernel
 //! (`privmdr_grid::response_matrix::fit_group`), which fits up to four
 //! same-shape pairs per pass, one SIMD lane each, over block-compressed
-//! matrices. The pairs are split into balanced passes of at most four (3
+//! matrices. Each sweep replays the exact mass chains over all `3c²`
+//! entries; the change chain is replayed only on the last sweep, since a
+//! per-block sum certifies "continue" on every earlier one (a pair that
+//! converges early instead reruns its pass exactly). The pairs are split into balanced passes of at most four (3
 //! pairs make one pass, 10 make passes of 4, 3 and 3), and the passes are
 //! fanned out over up to `available_parallelism` threads, one pass per
 //! thread at a time; a lone pass (d ≤ 3) runs on the caller. The matrices
@@ -472,7 +475,9 @@ mod tests {
 
     #[test]
     fn fanned_out_build_matches_serial_build_bit_for_bit() {
-        use privmdr_grid::response_matrix::build_response_matrix;
+        use privmdr_grid::response_matrix::{
+            build_response_matrix, build_response_matrix_reference,
+        };
         let c = 64usize;
         let bits =
             |m: &ResponseMatrix| -> Vec<u64> { m.entries().iter().map(|v| v.to_bits()).collect() };
@@ -507,10 +512,28 @@ mod tests {
                     cfg.rm_threshold,
                     cfg.rm_max_iters,
                 );
+                // The rectangle-at-a-time reference is independent of the
+                // kernel: these real Phase-2 pairs are cap-bound, so every
+                // sweep but the last runs fast and certified.
+                let reference = build_response_matrix_reference(
+                    &one_d[j],
+                    &one_d[k],
+                    grid,
+                    cfg.rm_threshold,
+                    cfg.rm_max_iters,
+                    None,
+                );
                 let fanned = &cache.matrix;
-                assert_eq!(bits(fanned), bits(&serial), "{label} pair ({j},{k})");
-                assert_eq!(fanned.iterations, serial.iterations);
-                assert_eq!(fanned.final_change.to_bits(), serial.final_change.to_bits());
+                for (want, name) in [(&serial, "serial"), (&reference, "reference")] {
+                    let label = format!("{label} pair ({j},{k}) vs {name}");
+                    assert_eq!(bits(fanned), bits(want), "{label}");
+                    assert_eq!(fanned.iterations, want.iterations, "{label}");
+                    assert_eq!(
+                        fanned.final_change.to_bits(),
+                        want.final_change.to_bits(),
+                        "{label}"
+                    );
+                }
                 for lo in [0, 5, 31] {
                     for hi in [lo, 40, c - 1] {
                         let rect = ((lo, hi), (c - 1 - hi, c - 1 - lo));

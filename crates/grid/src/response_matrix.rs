@@ -35,19 +35,63 @@
 //! entries stay equal, and so do their changes `|new − old|`. If the
 //! rectangle is skipped for zero mass, nothing changes.
 //!
-//! The kernel therefore keeps one value per block. A rectangle's mass and
-//! change are still serial f64 add chains over its entries, so the kernel
-//! replays them entry by entry, in row-major order, over the block values:
-//! a per-stage walk lists the block of each entry of a rectangle. The
-//! multiply, subtract and absolute value run once per block, and the
-//! `c × c` entries are written out once, after the last sweep. At `c = 64`,
-//! `g_j = g_k = 32`, `g2 = 4` a block is 2 × 2 entries, so the working set
-//! shrinks 4×.
+//! The kernel therefore keeps one value per block. A rectangle's mass is
+//! still a serial f64 add chain over its entries, and it decides every
+//! later bit, so the kernel always replays it entry by entry, in row-major
+//! order, over the block values: a per-stage walk lists the block of each
+//! entry of a rectangle. The change chain is replayed the same way only on
+//! exact sweeps (next section). The multiply, subtract and absolute value
+//! run once per block, and the `c × c` entries are written out once, after
+//! the last sweep. At `c = 64`, `g_j = g_k = 32`, `g2 = 4` a block is
+//! 2 × 2 entries, so the working set shrinks 4×.
+//!
+//! # Certified change
+//!
+//! A sweep's change only decides whether the next sweep runs, and on
+//! post-processed inputs (see the end of these docs) it answers "continue"
+//! on every sweep but the last. So a sweep that is neither observed nor
+//! the last one `max_iters` allows runs *fast*: it keeps the exact mass
+//! chains and rescales, but instead of replaying the change over every
+//! entry it adds each rectangle's block changes once, over the blocks in
+//! row-major order, and multiplies that sum by the block's entry count
+//! `bh · bw`. Call the result `A` and the reference's change `E`.
+//!
+//! `A` and `E` are two summation orders of the same `N = 3c²` non-negative
+//! terms `|Δ|`: each entry's change is bit-equal to its block's, and
+//! multiplying by the power of two `bh · bw ≥ 1` is exact (an overflow
+//! makes `A` infinite). Adding two non-negative floats rounds by at most
+//! `u = 2⁻⁵³` relative, with no underflow term (subnormal sums are exact),
+//! so a sum in which each term passes through at most `d` additions lies
+//! within `γ_d = d·u / (1 − d·u)` of the exact real sum `S` (Higham,
+//! *Accuracy and Stability of Numerical Algorithms*, §4.2). In `E` a term
+//! passes through its rectangle's chain (at most `c²` entries) and then
+//! the sweep's chain over rectangles (`R = g_j + g_k + g2²` of them); in
+//! `A`, through its rectangle's block chain (at most `B = (c/bh)·(c/bw)`
+//! blocks) and the same `R`. With `d_E ≤ c² + R`, `d_A ≤ B + R` and
+//! `d·u ≤ 1/3`, which holds for any matrix that fits in memory,
+//!
+//! ```text
+//! |E − A| ≤ (γ_{d_E} + γ_{d_A}) · S ≤ (γ_{d_E} + γ_{d_A}) / (1 − γ_{d_A}) · A
+//!         ≤ 4u · (c² + B + 2R) · A  ≤  EB / 2 · A,
+//! EB = 8u · (3c² + 3B + R)          (`Shape::change_bound`).
+//! ```
+//!
+//! A fast sweep continues a live lane only if `A` is finite and
+//! `A · (1 − EB) ≥ threshold`. Computing that product rounds twice, by at
+//! most `3u · A` together, and `EB / 2 ≥ 12u` absorbs it, so the test
+//! proves `E ≥ A · (1 − EB / 2) ≥ threshold`: the reference continues too.
+//! A NaN or infinite `A`, or one that cannot be certified, abandons the
+//! pass, which reruns from the uniform start with every sweep exact. The
+//! observed path sweeps exactly throughout, and the last sweep allowed is
+//! always exact, so every `final_change` and observer call is an `E`, and
+//! entries, `iterations` and `final_change` stay bit-identical to the
+//! reference. Cap-bound pairs never restart; a pair that converges early
+//! pays one extra, exact pass.
 //!
 //! The block values and their changes take `2 · L · (c / bh) · (c / bw + 1)`
-//! f64s of scratch for an `L`-lane pass over blocks of `bh × bw` entries.
-//! Each thread keeps one scratch for its life, grown to the largest pass it
-//! has run, so repeated publishes allocate none and a process holds at most
+//! f64s of scratch for an `L`-lane pass over blocks of `bh × bw` entries
+//! (only exact sweeps write the changes). Each thread keeps one scratch
+//! for its life, grown to the largest pass it has run, so repeated publishes allocate none and a process holds at most
 //! one scratch per thread that has fitted a pair. That is small next to the
 //! matrices when blocks are large (17 KiB per lane at `c = 64`, `g1 = 32`,
 //! `g2 = 4`, against 64 KiB of entries and prefix sums per pair), but as
@@ -65,9 +109,10 @@
 //! arithmetic results, never signaling NaNs), so the rescale needs no
 //! blend or branch. A zero-mass rectangle's entries are finite, so its
 //! change is exactly the `0.0` the reference adds; a finished lane's
-//! change is ignored. Within a live lane every f64 operation is the one
-//! the reference performs, in the reference's order, with no fused
-//! multiply-add. Lane arithmetic is IEEE-754 scalar arithmetic, so entries,
+//! change is ignored. Within a live lane every f64 operation on the block
+//! values, and on an exact sweep's change, is the one the reference
+//! performs, in the reference's order, with no fused multiply-add. Lane
+//! arithmetic is IEEE-754 scalar arithmetic, so entries,
 //! `iterations`, `final_change` and the observer trace are
 //! **bit-identical** to [`build_response_matrix_reference`].
 //! `tests/response_matrix_prop.rs` pins this down for the portable and the
@@ -346,6 +391,15 @@ impl Shape {
         (self.gj.max(self.g2), self.gk.max(self.g2))
     }
 
+    /// `EB` of the module docs: `|E − A| ≤ EB / 2 · A` for every sweep of
+    /// a live lane whose exact change `E` is finite.
+    fn change_bound(&self) -> f64 {
+        let (nbr, nbc) = self.blocks();
+        let rects = self.gj + self.gk + self.g2 * self.g2;
+        let terms = 3 * self.c * self.c + 3 * nbr * nbc + rects;
+        8.0 * terms as f64 * 2f64.powi(-53)
+    }
+
     /// Blocks per stored block row: one more than the matrix has, so that
     /// rectangle groups a power-of-two number of rows apart do not sit a
     /// multiple of 4 KiB apart, where a load waits on an unrelated store
@@ -424,36 +478,7 @@ fn run_pass<const L: usize>(
     scratch: &mut GroupScratch,
     backend: KernelBackend,
 ) {
-    scratch.reserve(shape, L);
-    for (walk, tiles) in scratch.walks.iter_mut().zip(shape.stages()) {
-        walk.fill(shape, tiles);
-    }
-    let (lanes, _) = scratch.lanes.as_chunks_mut::<L>();
-    let (nbr, nbc) = shape.blocks();
-    let stride = shape.stride();
-    let (vals, rest) = lanes.split_at_mut(nbr * stride);
-    let (deltas, targets) = rest.split_at_mut(nbr * stride);
-    for (l, fit) in fits.iter().enumerate() {
-        let stages = [&fit.g_j.freqs, &fit.g_k.freqs, &fit.g_jk.freqs];
-        for (t, &f) in targets.iter_mut().zip(stages.into_iter().flatten()) {
-            t[l] = f;
-        }
-    }
-    // Padding lanes never run a sweep; their targets only need to be
-    // defined.
-    for t in targets.iter_mut() {
-        t[fits.len()..].fill(0.0);
-    }
-    let pass = Pass {
-        shape,
-        vals,
-        deltas,
-        targets,
-        walks: &scratch.walks,
-        live: fits.len(),
-        threshold,
-        max_iters,
-    };
+    let pass = Pass::<L>::load(fits, shape, threshold, max_iters, scratch);
     let (iterations, final_change) = match backend {
         // SAFETY: both SIMD backends are only ever selected after
         // `is_x86_feature_detected!` confirmed AVX2 on this CPU (AVX-512
@@ -464,7 +489,8 @@ fn run_pass<const L: usize>(
     };
 
     let (lanes, _) = scratch.lanes.as_chunks::<L>();
-    let (c, bh, bw) = (shape.c, shape.c / nbr, shape.c / nbc);
+    let (nbr, nbc) = shape.blocks();
+    let (c, bh, bw, stride) = (shape.c, shape.c / nbr, shape.c / nbc, shape.stride());
     for (l, fit) in fits.iter_mut().enumerate() {
         let m = &mut *fit.matrix;
         for (r, row) in m.data.chunks_exact_mut(c).enumerate() {
@@ -484,8 +510,8 @@ struct Pass<'a, const L: usize> {
     shape: Shape,
     /// Block values, row-major over the blocks.
     vals: &'a mut [[f64; L]],
-    /// Each block's `|new − old|` from its latest rescale, laid out as
-    /// `vals`.
+    /// Each block's `|new − old|` from its latest exact rescale, laid out
+    /// as `vals`; fast sweeps leave it alone.
     deltas: &'a mut [[f64; L]],
     /// Stage targets: `G(j)`'s cells, then `G(k)`'s, then `G(j,k)`'s.
     targets: &'a [[f64; L]],
@@ -494,6 +520,128 @@ struct Pass<'a, const L: usize> {
     live: usize,
     threshold: f64,
     max_iters: usize,
+}
+
+impl<'a, const L: usize> Pass<'a, L> {
+    /// Lays a pass over `fits` out in `scratch`: the stage walks, and the
+    /// targets transposed into lanes.
+    fn load(
+        fits: &[PairFit<'_>],
+        shape: Shape,
+        threshold: f64,
+        max_iters: usize,
+        scratch: &'a mut GroupScratch,
+    ) -> Self {
+        scratch.reserve(shape, L);
+        for (walk, tiles) in scratch.walks.iter_mut().zip(shape.stages()) {
+            walk.fill(shape, tiles);
+        }
+        let (lanes, _) = scratch.lanes.as_chunks_mut::<L>();
+        let blocks = shape.blocks().0 * shape.stride();
+        let (vals, rest) = lanes.split_at_mut(blocks);
+        let (deltas, targets) = rest.split_at_mut(blocks);
+        for (l, fit) in fits.iter().enumerate() {
+            let stages = [&fit.g_j.freqs, &fit.g_k.freqs, &fit.g_jk.freqs];
+            for (t, &f) in targets.iter_mut().zip(stages.into_iter().flatten()) {
+                t[l] = f;
+            }
+        }
+        // Padding lanes never run a sweep; their targets only need to be
+        // defined.
+        for t in targets.iter_mut() {
+            t[fits.len()..].fill(0.0);
+        }
+        Pass {
+            shape,
+            vals,
+            deltas,
+            targets,
+            walks: &scratch.walks,
+            live: fits.len(),
+            threshold,
+            max_iters,
+        }
+    }
+
+    /// Runs one sweep over the `active` lanes and returns each lane's
+    /// change: exact when `EXACT`, otherwise the fast sum `A` of the module
+    /// docs. The block values come out the same either way.
+    #[inline(always)]
+    fn sweep_once<const EXACT: bool>(&mut self, active: &[bool; L]) -> [f64; L] {
+        let shape = self.shape;
+        let (nbr, nbc) = shape.blocks();
+        let block_entries = ((shape.c / nbr) * (shape.c / nbc)) as f64;
+        let mut change = [0.0f64; L];
+        let mut rest = self.targets;
+        for (tiles, walk) in shape.stages().into_iter().zip(self.walks) {
+            let (stage_targets, later) = rest.split_at(tiles.0 * tiles.1);
+            rest = later;
+            let stage = Stage {
+                stride: shape.stride(),
+                tile_cols: tiles.1,
+                rect: shape.rect(tiles).1,
+                block_entries,
+                entries: &walk.entries,
+                blocks: &walk.blocks,
+            };
+            stage.scale::<L, EXACT>(self.vals, self.deltas, stage_targets, active, &mut change);
+        }
+        change
+    }
+
+    /// Sweeps from the uniform start until every lane has stopped or the
+    /// cap is reached. With `certify`, every sweep but the last one the cap
+    /// allows runs fast; `None` means a fast sweep could not certify that a
+    /// live lane continues, and the pass must be rerun exactly.
+    #[inline(always)]
+    fn run(
+        &mut self,
+        certify: bool,
+        mut observer: Option<SweepObserver<'_>>,
+    ) -> Option<([usize; L], [f64; L])> {
+        let (live, threshold) = (self.live, self.threshold);
+        let cap = self.max_iters.max(1);
+        let bound = 1.0 - self.shape.change_bound();
+        self.vals
+            .fill([1.0 / (self.shape.c * self.shape.c) as f64; L]);
+        // The reference loops while `change >= threshold` with the change
+        // starting at infinity, so a NaN threshold runs no sweep at all.
+        let mut active: [bool; L] = std::array::from_fn(|l| l < live && f64::INFINITY >= threshold);
+        let mut iterations = [0usize; L];
+        let mut final_change = [f64::INFINITY; L];
+        let mut sweeps = 0usize;
+        while sweeps < cap && active.contains(&true) {
+            let exact = !certify || sweeps + 1 == cap;
+            let change = if exact {
+                self.sweep_once::<true>(&active)
+            } else {
+                self.sweep_once::<false>(&active)
+            };
+            sweeps += 1;
+            for l in 0..L {
+                if active[l] {
+                    // A fast change is overwritten: lanes stop only on
+                    // exact sweeps, and the last sweep is one.
+                    iterations[l] = sweeps;
+                    final_change[l] = change[l];
+                    // The reference continues only while `change >= threshold`;
+                    // freezing on its negation keeps a NaN change exact.
+                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                    if !exact {
+                        if !(change[l].is_finite() && change[l] * bound >= threshold) {
+                            return None;
+                        }
+                    } else if !(change[l] >= threshold) {
+                        active[l] = false;
+                    }
+                }
+            }
+            if let Some(obs) = observer.as_mut() {
+                obs(sweeps, change[0]);
+            }
+        }
+        Some((iterations, final_change))
+    }
 }
 
 /// [`sweep`] compiled for AVX2. FMA stays off, so no multiply and add can
@@ -511,64 +659,24 @@ unsafe fn sweep_avx2<const L: usize>(
     sweep(pass, observer)
 }
 
-/// The sweep loop of Algorithm 1 over `L` lanes. Returns each lane's sweep
-/// count and final change; padding lanes report `0` and infinity.
+/// The sweep loop of Algorithm 1 over `L` lanes, certified where nothing
+/// observes it and exact otherwise or on a failed certification. Returns
+/// each lane's sweep count and final change; padding lanes report `0` and
+/// infinity.
 #[inline(always)]
 fn sweep<const L: usize>(
-    pass: Pass<'_, L>,
-    mut observer: Option<SweepObserver<'_>>,
+    mut pass: Pass<'_, L>,
+    observer: Option<SweepObserver<'_>>,
 ) -> ([usize; L], [f64; L]) {
-    let Pass {
-        shape,
-        vals,
-        deltas,
-        targets,
-        walks,
-        live,
-        threshold,
-        max_iters,
-    } = pass;
-    let stride = shape.stride();
-    vals.fill([1.0 / (shape.c * shape.c) as f64; L]);
-    // The reference loops while `change >= threshold` with the change
-    // starting at infinity, so a NaN threshold runs no sweep at all.
-    let mut active: [bool; L] = std::array::from_fn(|l| l < live && f64::INFINITY >= threshold);
-    let mut iterations = [0usize; L];
-    let mut final_change = [f64::INFINITY; L];
-    let mut sweeps = 0usize;
-    while sweeps < max_iters.max(1) && active.contains(&true) {
-        let mut change = [0.0f64; L];
-        let mut rest = targets;
-        for (tiles, walk) in shape.stages().into_iter().zip(walks) {
-            let (stage_targets, later) = rest.split_at(tiles.0 * tiles.1);
-            rest = later;
-            let stage = Stage {
-                stride,
-                tile_cols: tiles.1,
-                rect: shape.rect(tiles).1,
-                entries: &walk.entries,
-                blocks: &walk.blocks,
-            };
-            stage.scale(vals, deltas, stage_targets, &active, &mut change);
-        }
-        sweeps += 1;
-        for l in 0..L {
-            if active[l] {
-                iterations[l] = sweeps;
-                final_change[l] = change[l];
-                // The reference continues only while `change >= threshold`;
-                // freezing on its negation keeps a NaN change exact.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(change[l] >= threshold) {
-                    active[l] = false;
-                }
-            }
-        }
-        if let Some(obs) = observer.as_mut() {
-            obs(sweeps, change[0]);
+    // The observed path (the Fig. 17 trace) needs every sweep's exact
+    // change.
+    if observer.is_none() {
+        if let Some(done) = pass.run(true, None) {
+            return done;
         }
     }
-    (iterations, final_change)
+    pass.run(false, observer)
+        .expect("a pass of exact sweeps always finishes")
 }
 
 /// One sweep stage of a pass.
@@ -580,6 +688,8 @@ struct Stage<'a> {
     tile_cols: usize,
     /// A rectangle's extent in blocks.
     rect: (usize, usize),
+    /// Entries per block, `bh · bw`: a power of two.
+    block_entries: f64,
     /// [`Walk::entries`], borrowed as a slice so the compiler keeps it in
     /// registers across the stores to the blocks.
     entries: &'a [u32],
@@ -592,7 +702,7 @@ impl Stage<'_> {
     /// row-major rectangle order), [`RECTS`] at a time, adding each
     /// rectangle's change to `change` in rectangle order.
     #[inline(always)]
-    fn scale<const L: usize>(
+    fn scale<const L: usize, const EXACT: bool>(
         self,
         vals: &mut [[f64; L]],
         deltas: &mut [[f64; L]],
@@ -606,23 +716,25 @@ impl Stage<'_> {
         for (g, t) in (&mut groups).enumerate() {
             let origins = std::array::from_fn(|r| origin(g * RECTS + r));
             let t = t.try_into().expect("chunk of RECTS");
-            self.scale_rects::<L, RECTS>(vals, deltas, origins, t, active, change);
+            self.scale_rects::<L, RECTS, EXACT>(vals, deltas, origins, t, active, change);
         }
         let tail = targets.len() - groups.remainder().len();
         for (i, t) in groups.remainder().iter().enumerate() {
             let origins = [origin(tail + i)];
-            self.scale_rects::<L, 1>(vals, deltas, origins, &[*t], active, change);
+            self.scale_rects::<L, 1, EXACT>(vals, deltas, origins, &[*t], active, change);
         }
     }
 
     /// Rescales the `R` disjoint rectangles whose top-left blocks are
     /// `origins`, as the reference's `scale_rect` would one after another.
-    /// Per lane, the mass and the change are add chains over the
-    /// rectangle's entries in row-major order, a zero mass leaves the
-    /// blocks alone and contributes `0.0`, and the rectangles' changes are
-    /// added to `change` in order. Inactive lanes are left alone too.
+    /// Per lane, the mass is an add chain over the rectangle's entries in
+    /// row-major order, a zero mass leaves the blocks alone and contributes
+    /// `0.0`, and the rectangles' changes are added to `change` in order.
+    /// Inactive lanes are left alone too. With `EXACT` a rectangle's
+    /// change is the reference's chain over its entries; otherwise it is
+    /// the chain over its blocks times the block's entry count.
     #[inline(always)]
-    fn scale_rects<const L: usize, const R: usize>(
+    fn scale_rects<const L: usize, const R: usize, const EXACT: bool>(
         self,
         vals: &mut [[f64; L]],
         deltas: &mut [[f64; L]],
@@ -660,20 +772,37 @@ impl Stage<'_> {
                 }
             })
         });
-        for r in 0..R {
-            let v = &mut vals[origins[r]..][..span];
-            let d = &mut deltas[origins[r]..][..span];
-            for &b in self.blocks {
-                d[b as usize] = rescale(&mut v[b as usize], &factor[r]);
-            }
-        }
         let mut rect_change = [[0.0f64; L]; R];
-        let region: [&[[f64; L]]; R] = std::array::from_fn(|r| &deltas[origins[r]..][..span]);
-        for &b in self.entries {
+        if EXACT {
             for r in 0..R {
-                let d = region[r][b as usize];
-                for l in 0..L {
-                    rect_change[r][l] += d[l];
+                let v = &mut vals[origins[r]..][..span];
+                let d = &mut deltas[origins[r]..][..span];
+                for &b in self.blocks {
+                    d[b as usize] = rescale(&mut v[b as usize], &factor[r]);
+                }
+            }
+            let region: [&[[f64; L]]; R] = std::array::from_fn(|r| &deltas[origins[r]..][..span]);
+            for &b in self.entries {
+                for r in 0..R {
+                    let d = region[r][b as usize];
+                    for l in 0..L {
+                        rect_change[r][l] += d[l];
+                    }
+                }
+            }
+        } else {
+            for r in 0..R {
+                let v = &mut vals[origins[r]..][..span];
+                for &b in self.blocks {
+                    let d = rescale(&mut v[b as usize], &factor[r]);
+                    for l in 0..L {
+                        rect_change[r][l] += d[l];
+                    }
+                }
+            }
+            for rc in &mut rect_change {
+                for c in rc.iter_mut() {
+                    *c *= self.block_entries;
                 }
             }
         }
@@ -992,6 +1121,148 @@ mod tests {
         let alone = build_response_matrix(&gk, &gj, &inner_jk, 0.0, 3);
         assert_eq!(inner.len(), 12);
         assert!(inner.iter().all(|m| bits(m) == bits(&alone)));
+    }
+
+    /// Deterministic pseudo-random f64 in [0, 1).
+    fn unit(a: usize, b: usize) -> f64 {
+        let x = (a as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (b as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let x = (x ^ (x >> 31)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (x >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The three grids of a pair at `(c, g_j, g_k, g2)`: the marginals of a
+    /// skewed joint, then by `kind` noisy (cap-bound), consistent, raw and
+    /// partly negative, or consistent with zero-mass rows and columns.
+    fn kind_grids(
+        (c, gj, gk, g2): (usize, usize, usize, usize),
+        kind: usize,
+        salt: usize,
+    ) -> (Grid1d, Grid1d, Grid2d) {
+        let zero = |i: usize| kind % 4 == 3 && i.is_multiple_of(3);
+        let mut fj = vec![0.0; gj];
+        let mut fk = vec![0.0; gk];
+        let mut f2 = vec![0.0; g2 * g2];
+        for r in 0..c {
+            for col in 0..c {
+                let v = if zero(r) || zero(col) {
+                    0.0
+                } else {
+                    0.05 + unit(salt, r * c + col)
+                };
+                fj[r * gj / c] += v;
+                fk[col * gk / c] += v;
+                f2[(r * g2 / c) * g2 + col * g2 / c] += v;
+            }
+        }
+        for (t, f) in [&mut fj, &mut fk, &mut f2].into_iter().enumerate() {
+            let total: f64 = f.iter().sum();
+            let spread = 2.0 / f.len() as f64;
+            for (i, v) in f.iter_mut().enumerate() {
+                let u = unit(salt ^ 0xA5, 16 * i + t);
+                match kind % 4 {
+                    0 => *v *= 0.8 + 0.4 * u,
+                    2 => *v = *v / total + spread * (u - 0.6),
+                    _ => *v /= total,
+                }
+            }
+        }
+        (
+            Grid1d::from_freqs(0, gj, c, fj).unwrap(),
+            Grid1d::from_freqs(1, gk, c, fk).unwrap(),
+            Grid2d::from_freqs((0, 1), g2, c, f2).unwrap(),
+        )
+    }
+
+    fn lane_bits<const L: usize>(vals: &[[f64; L]]) -> Vec<u64> {
+        vals.iter().flatten().map(|v| v.to_bits()).collect()
+    }
+
+    /// From the block values of each of the first `sweeps` sweeps, runs one
+    /// fast and one exact sweep of an `L`-lane pass over `group`. Returns
+    /// how many live-lane sweeps there were and in how many the fast change
+    /// differed from the exact one.
+    fn fast_against_exact<const L: usize>(
+        group: &[(Grid1d, Grid1d, Grid2d)],
+        sweeps: usize,
+    ) -> (usize, usize) {
+        let mut matrices: Vec<ResponseMatrix> = group
+            .iter()
+            .map(|g| ResponseMatrix::unfitted(g.2.domain()))
+            .collect();
+        let fits: Vec<PairFit<'_>> = matrices
+            .iter_mut()
+            .zip(group)
+            .map(|(matrix, (g_j, g_k, g_jk))| PairFit {
+                matrix,
+                g_j,
+                g_k,
+                g_jk,
+            })
+            .collect();
+        let shape = Shape::of(&fits[0]);
+        let bound = shape.change_bound() / 2.0;
+        let mut scratch = GroupScratch::default();
+        let mut pass = Pass::<L>::load(&fits, shape, 0.0, sweeps, &mut scratch);
+        pass.vals.fill([1.0 / (shape.c * shape.c) as f64; L]);
+        let active = std::array::from_fn(|l| l < group.len());
+        let (mut checked, mut differ) = (0, 0);
+        for sweep in 1..=sweeps {
+            let start = pass.vals.to_vec();
+            let approx = pass.sweep_once::<false>(&active);
+            let fast = lane_bits(pass.vals);
+            pass.vals.copy_from_slice(&start);
+            let exact = pass.sweep_once::<true>(&active);
+            assert_eq!(
+                fast,
+                lane_bits(pass.vals),
+                "{shape:?} sweep {sweep}: blocks"
+            );
+            for l in 0..group.len() {
+                let (a, e) = (approx[l], exact[l]);
+                assert!(e.is_finite(), "{shape:?} sweep {sweep} lane {l}: {e}");
+                assert!(
+                    (a - e).abs() <= bound * a,
+                    "{shape:?} sweep {sweep} lane {l}: fast {a:e}, exact {e:e}, bound {bound:e}"
+                );
+                checked += 1;
+                differ += usize::from(a != e);
+            }
+        }
+        (checked, differ)
+    }
+
+    #[test]
+    fn fast_sweeps_keep_the_blocks_and_stay_within_the_certified_bound() {
+        // A fast sweep must leave the block values bit-identical to an
+        // exact one, and its change within `EB / 2` of the exact change
+        // relative to itself (module docs, "Certified change").
+        let (mut checked, mut differ) = (0, 0);
+        let shapes = [
+            (16, 8, 4, 4),
+            (64, 32, 32, 4),
+            (64, 64, 16, 8),
+            (32, 2, 16, 32),
+            (128, 128, 128, 4),
+        ];
+        for (i, &shape) in shapes.iter().enumerate() {
+            for kind in 0..4 {
+                let lone = [kind_grids(shape, kind, i)];
+                let (n, d) = fast_against_exact::<1>(&lone, 6);
+                let group: Vec<_> = (0..GROUP_LANES)
+                    .map(|l| kind_grids(shape, kind + l, 10 * i + l))
+                    .collect();
+                let (m, e) = fast_against_exact::<GROUP_LANES>(&group, 6);
+                checked += n + m;
+                differ += d + e;
+            }
+        }
+        // The two summation orders must actually disagree somewhere, or
+        // the bound is never put to the test.
+        assert!(
+            differ * 10 > checked,
+            "fast and exact changes differ in only {differ} of {checked} sweeps"
+        );
     }
 
     #[test]

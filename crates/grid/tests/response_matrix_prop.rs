@@ -17,8 +17,10 @@
 //! one-sweep floor. For groups, through the dispatched, portable and AVX2
 //! bodies: 1 to 4 live lanes, lanes that converge early beside lanes that
 //! run to the cap, blocks whose height comes from `g2`, single-entry
-//! blocks, and inputs whose entries overflow to infinity and NaN. Runs in
-//! debug and release in CI.
+//! blocks, and inputs whose entries overflow to infinity and NaN. The
+//! un-observed entry points sweep fast and certify each change; thresholds
+//! set on a sweep's exact change, and one ulp either side, pin the exact
+//! restart. Runs in debug and release in CI.
 
 use privmdr_grid::response_matrix::{
     build_response_matrix, build_response_matrix_observed, build_response_matrix_reference,
@@ -163,9 +165,22 @@ fn assert_matches_reference(
         "{label}: one call per sweep"
     );
 
-    // The un-observed entry point and the prefix table agree as well.
+    // The un-observed entry point, whose sweeps run fast (certified)
+    // where the observed one runs exact, and the prefix table agree as
+    // well.
     let plain = build_response_matrix(gj, gk, gjk, threshold, max_iters);
     assert_eq!(bits(&plain), bits(&slow), "{label}: un-observed entries");
+    assert_eq!(
+        plain.iterations, slow.iterations,
+        "{label}: un-observed iterations"
+    );
+    assert_eq!(
+        plain.final_change.to_bits(),
+        slow.final_change.to_bits(),
+        "{label}: un-observed final_change {} vs {}",
+        plain.final_change,
+        slow.final_change
+    );
     let c = gjk.domain();
     for lo in [0, c / 3, c / 2] {
         for hi in [lo, (lo + c) / 2, c - 1] {
@@ -489,6 +504,44 @@ fn groups_at_threshold_zero_and_the_sweep_floor_match_the_reference() {
     assert_eq!(sweeps, vec![1; 3], "the cap has a floor of one sweep");
     let sweeps = assert_group_matches_reference(&group, f64::NAN, 30, "NaN threshold");
     assert_eq!(sweeps, vec![0; 3], "a NaN threshold runs no sweep");
+}
+
+#[test]
+fn thresholds_on_a_sweeps_exact_change_match_the_reference() {
+    // A fast sweep continues a lane only when its change certifies
+    // `exact >= threshold`. A threshold equal to a converging lane's exact
+    // change at sweep k, or one ulp either side, leaves the fast change
+    // uncertifiable there, so the pass must restart exactly and stop the
+    // lane at the reference's sweep, while cap-bound lanes beside it run on.
+    for (c, gj, gk, g2) in [(64, 32, 32, 4), (32, 8, 16, 2), (16, 16, 16, 16)] {
+        let s = Shape { c, gj, gk, g2 };
+        let converging = consistent_grids(s, &joint(c, 21, 0));
+        let mut trace = Vec::new();
+        let mut obs = |_: usize, ch: f64| trace.push(ch);
+        let (gj_grid, gk_grid, gjk_grid) = &converging;
+        build_response_matrix_reference(gj_grid, gk_grid, gjk_grid, 0.0, 4, Some(&mut obs));
+        // Consistent inputs fall to the rounding floor (about 1e-15) after
+        // one sweep; noisy lanes settle near their residual (above 0.05),
+        // so from sweep 2 on the edge leaves them cap-bound.
+        for (k, &edge) in (1..).zip(&trace) {
+            for threshold in [edge.next_down(), edge, edge.next_up()] {
+                let label = format!("{s:?} sweep {k} threshold {threshold:e}");
+                let sweeps = assert_matches_reference(&converging, threshold, 40, &label);
+                assert!(sweeps < 40, "{label}: converging lane hit the cap");
+                for live in 1..=GROUP_LANES {
+                    let group: Vec<Grids> = std::iter::once(converging.clone())
+                        .chain((1..live).map(|lane| noisy_grids(s, 30 + lane as u64)))
+                        .collect();
+                    let sweeps = assert_group_matches_reference(&group, threshold, 40, &label);
+                    assert!(sweeps[0] < 40, "{label}: converging lane hit the cap");
+                    assert!(
+                        k == 1 || sweeps[1..].iter().all(|&n| n == 40),
+                        "{label}: {sweeps:?}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
